@@ -47,8 +47,7 @@ import sys
 import tempfile
 
 from repro.engine.backend import BACKEND_NAMES
-from repro.engine.clock import SimulatedClock
-from repro.engine.errors import QuerySuspended
+from repro.engine.execution import SuspendableExecution
 from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.kernels import KERNEL_NAMES
 from repro.engine.profile import HardwareProfile
@@ -133,21 +132,17 @@ def _execute(
 ) -> QueryResult:
     """Run the query, optionally suspending and resuming it midway.
 
-    When a tracer is supplied and ``--suspend-at`` is used, the resumed
-    executor's clock starts at ``suspended_at + persist + reload`` so the
-    exported trace shows one contiguous busy timeline.
+    Under ``--suspend-at`` the resumed generation's clock starts at
+    ``suspended_at + persist + reload``, so the exported trace shows one
+    contiguous busy timeline.
 
     *selection_vectors* controls both lazy selection-vector filtering and
-    the compilation of identity projections to zero-cost selects; it is
-    threaded through to the resumed executor as well, so the snapshot is
-    taken and restored under one execution configuration.
+    the compilation of identity projections to zero-cost selects.
 
     *profiler* (a :class:`~repro.obs.profile.QueryProfiler`) attaches
-    wall-clock profiling to the measured run — and, under
-    ``--suspend-at``, to both the suspended and resumed executors, so the
-    envelope covers the whole interrupted execution.  The untraced
-    measuring run stays unprofiled: it only calibrates the suspension
-    point.
+    wall-clock profiling to the measured run, including every generation
+    of an interrupted one.  The untraced measuring run stays unprofiled:
+    it only calibrates the suspension point.
     """
     exec_opts = dict(
         lazy_filters=selection_vectors,
@@ -189,20 +184,20 @@ def _execute(
         )
         strategy.lifecycle = lifecycle
     controller = strategy.make_request_controller(normal.stats.duration * args.suspend_at)
-    executor = QueryExecutor(
+    execution = SuspendableExecution(
         catalog,
         plan,
+        label,
         profile=profile,
-        controller=controller,
-        query_name=label,
         tracer=tracer,
         metrics=metrics,
         profiler=profiler,
         **exec_opts,
     )
     directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-cli-")
-    try:
-        result = executor.run()
+    generation = execution.run(controller)
+    if generation.status == "finished":
+        result = generation.result
         if lifecycle is not None:
             lifecycle.span("run", 0.0, result.stats.finished_at)
             lifecycle.finish(result.stats.finished_at, suspended=False)
@@ -211,23 +206,22 @@ def _execute(
             print("query finished before the suspension point; results:")
             _print_chunk(result.chunk)
         return result
-    except QuerySuspended as suspended:
-        if lifecycle is not None:
-            lifecycle.span("run", 0.0, suspended.capture.clock_time)
-            lifecycle.instant("suspend", suspended.capture.clock_time, category="suspend")
-        outcome = strategy.persist(suspended.capture, directory)
-    snapshot_path = outcome.snapshot_path
+    capture = generation.capture
+    if lifecycle is not None:
+        lifecycle.span("run", 0.0, capture.clock_time)
+        lifecycle.instant("suspend", capture.clock_time, category="suspend")
+    store = None
     if args.incremental:
         from repro.suspend import SnapshotStore
 
         store = SnapshotStore(directory, incremental=True)
-        record = store.register(outcome, label)
-        snapshot_path = store.materialize(record)
-        if verbose and record.is_delta:
-            print(
-                f"incremental: stored delta of sequence {record.delta_of} "
-                f"({record.file_bytes} bytes on disk)"
-            )
+    suspension = execution.suspend(strategy, capture, directory, store=store)
+    outcome = suspension.outcome
+    if verbose and suspension.record is not None and suspension.record.is_delta:
+        print(
+            f"incremental: stored delta of sequence {suspension.record.delta_of} "
+            f"({suspension.record.file_bytes} bytes on disk)"
+        )
     if verbose:
         encoded_note = ""
         if outcome.raw_bytes is not None and outcome.codec != "raw":
@@ -237,22 +231,9 @@ def _execute(
             f"({outcome.intermediate_bytes} bytes persisted via "
             f"{strategy.name}-level{encoded_note})"
         )
-    resumed = strategy.prepare_resume(
-        snapshot_path, executor.pipelines, executor.plan_fingerprint
-    )
+    resumed = execution.resume(strategy, suspension.path)
     resume_start = outcome.suspended_at + outcome.persist_latency + resumed.reload_latency
-    final = QueryExecutor(
-        catalog,
-        plan,
-        profile=profile,
-        clock=SimulatedClock(resume_start),
-        query_name=label,
-        resume=resumed.resume_state,
-        tracer=tracer,
-        metrics=metrics,
-        profiler=profiler,
-        **exec_opts,
-    ).run()
+    final = execution.run(start=resume_start).result
     if lifecycle is not None:
         lifecycle.span("run:resumed", resume_start, final.stats.finished_at)
         lifecycle.finish(

@@ -10,8 +10,8 @@ windows); :class:`IntermittentRunner` executes a query across them,
 suspending with a chosen strategy ahead of each outage and resuming in
 the next window.  If a suspension cannot complete before the outage
 (e.g. no pipeline breaker arrives in time), the segment's progress is
-lost and the next window restarts from the last persisted snapshot (or
-from scratch).
+lost and the next window restarts from the last snapshot that reached
+storage (or from scratch).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.engine.clock import SimulatedClock
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
-from repro.engine.errors import QuerySuspended, QueryTerminated
-from repro.engine.executor import QueryExecutor, QueryResult, ResumeState
+from repro.engine.execution import SuspendableExecution
+from repro.engine.executor import QueryResult
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.storage.catalog import Catalog
@@ -181,12 +180,16 @@ class IntermittentRunner:
             suspensions=0,
             lost_segments=0,
         )
-        resume_state: ResumeState | None = None
+        execution = SuspendableExecution(
+            self.catalog, plan, query_name, profile=self.profile, morsel_size=self.morsel_size
+        )
+        # Each attempt persists into the slot the last good snapshot is not
+        # in, so a persist that misses its window cannot overwrite it.
+        slots = [self.snapshot_dir / "slot-a", self.snapshot_dir / "slot-b"]
+        for slot in slots:
+            slot.mkdir(exist_ok=True)
         snapshot_path = None
-        pipelines = None
-        fingerprint = None
         for window in trace.windows:
-            clock = SimulatedClock()
             controllers: list[ExecutionController] = [TerminationController(window.duration)]
             if self.strategy.name in ("process", "pipeline"):
                 controllers.append(
@@ -194,66 +197,44 @@ class IntermittentRunner:
                         window.duration, self.profile, self.strategy.name, self.safety
                     )
                 )
-            executor = QueryExecutor(
-                self.catalog,
-                plan,
-                profile=self.profile,
-                clock=clock,
-                morsel_size=self.morsel_size,
-                controller=CompositeController(controllers),
-                query_name=query_name,
-                resume=resume_state,
-            )
-            pipelines = executor.pipelines
-            fingerprint = executor.plan_fingerprint
-            try:
-                result = executor.run()
-                outcome.busy_seconds += clock.now()
+            generation = execution.run(CompositeController(controllers))
+            if generation.status == "finished":
+                outcome.busy_seconds += generation.end
                 outcome.completed = True
-                outcome.finish_wall_time = window.start + clock.now()
-                outcome.result = result
+                outcome.finish_wall_time = window.start + generation.end
+                outcome.result = generation.result
                 outcome.segments.append(
-                    SegmentRecord(window, clock.now(), suspended=False, lost_progress=False)
+                    SegmentRecord(window, generation.end, suspended=False, lost_progress=False)
                 )
                 return outcome
-            except QuerySuspended as suspended:
-                persisted = self.strategy.persist(suspended.capture, self.snapshot_dir)
-                finish = persisted.suspended_at + persisted.persist_latency
-                if finish > window.duration:
-                    # The snapshot did not reach storage before the outage.
-                    outcome.lost_segments += 1
-                    outcome.busy_seconds += window.duration
-                    outcome.segments.append(
-                        SegmentRecord(window, window.duration, suspended=True, lost_progress=True)
+            suspension = None
+            if generation.status == "suspended":
+                suspension = execution.suspend(self.strategy, generation.capture, slots[0])
+            if suspension is not None and suspension.finished_at <= window.duration:
+                outcome.suspensions += 1
+                outcome.busy_seconds += suspension.finished_at
+                snapshot_path = suspension.path
+                slots.reverse()
+                outcome.segments.append(
+                    SegmentRecord(
+                        window,
+                        suspension.finished_at,
+                        suspended=True,
+                        lost_progress=False,
+                        persisted_bytes=suspension.outcome.intermediate_bytes,
                     )
-                    # Fall back to the previous snapshot (or scratch).
-                else:
-                    outcome.suspensions += 1
-                    outcome.busy_seconds += finish
-                    snapshot_path = persisted.snapshot_path
-                    outcome.segments.append(
-                        SegmentRecord(
-                            window,
-                            finish,
-                            suspended=True,
-                            lost_progress=False,
-                            persisted_bytes=persisted.intermediate_bytes,
-                        )
-                    )
-            except QueryTerminated:
-                # Outage hit before any suspension point was reached.
+                )
+            else:
+                # The outage hit before any suspension point was reached or
+                # before the snapshot reached storage: fall back to the
+                # previous snapshot (or scratch).
                 outcome.lost_segments += 1
                 outcome.busy_seconds += window.duration
                 outcome.segments.append(
-                    SegmentRecord(window, window.duration, suspended=False, lost_progress=True)
+                    SegmentRecord(
+                        window, window.duration, suspended=suspension is not None, lost_progress=True
+                    )
                 )
-            resume_state = self._reload(snapshot_path, pipelines, fingerprint)
+            if snapshot_path is not None:
+                execution.resume(self.strategy, snapshot_path)
         return outcome
-
-    def _reload(self, snapshot_path, pipelines, fingerprint) -> ResumeState | None:
-        if snapshot_path is None:
-            return None
-        resumed = self.strategy.prepare_resume(snapshot_path, pipelines, fingerprint)
-        state = resumed.resume_state
-        state.clock_time = 0.0
-        return state

@@ -22,8 +22,8 @@ from pathlib import Path
 from repro.cloud.environment import PriceTrace
 from repro.engine.clock import SimulatedClock
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
-from repro.engine.errors import QuerySuspended
-from repro.engine.executor import QueryExecutor, QueryResult, ResumeState
+from repro.engine.execution import SuspendableExecution
+from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.storage.catalog import Catalog
@@ -173,40 +173,25 @@ class PriceAwareRunner:
             query_name=query_name, finish_wall_time=start, busy_seconds=0.0,
             dollars=0.0, suspensions=0,
         )
+        execution = SuspendableExecution(
+            self.catalog, plan, query_name, profile=self.profile, morsel_size=self.morsel_size
+        )
         wall = self._next_affordable(start)
-        resume_state: ResumeState | None = None
         while True:
-            clock = SimulatedClock()
-            controller = _SpikeController(self.prices, self.budget, wall, self.mode)
-            executor = QueryExecutor(
-                self.catalog,
-                plan,
-                profile=self.profile,
-                clock=clock,
-                morsel_size=self.morsel_size,
-                controller=controller,
-                query_name=query_name,
-                resume=resume_state,
-            )
-            try:
-                result = executor.run()
-                self._account(outcome, wall, clock.now())
-                outcome.finish_wall_time = wall + clock.now()
-                outcome.busy_seconds += clock.now()
-                outcome.result = result
+            generation = execution.run(_SpikeController(self.prices, self.budget, wall, self.mode))
+            if generation.status == "finished":
+                self._account(outcome, wall, generation.end)
+                outcome.finish_wall_time = wall + generation.end
+                outcome.busy_seconds += generation.end
+                outcome.result = generation.result
                 return outcome
-            except QuerySuspended as suspended:
-                persisted = self.strategy.persist(suspended.capture, self.snapshot_dir)
-                segment_end = clock.now() + persisted.persist_latency
-                self._account(outcome, wall, segment_end)
-                outcome.busy_seconds += segment_end
-                outcome.suspensions += 1
-                resumed = self.strategy.prepare_resume(
-                    persisted.snapshot_path, executor.pipelines, executor.plan_fingerprint
-                )
-                resume_state = resumed.resume_state
-                resume_state.clock_time = 0.0
-                wall = self._resume_after_spike(wall + segment_end)
+            suspension = execution.suspend(self.strategy, generation.capture, self.snapshot_dir)
+            segment_end = generation.end + suspension.outcome.persist_latency
+            self._account(outcome, wall, segment_end)
+            outcome.busy_seconds += segment_end
+            outcome.suspensions += 1
+            execution.resume(self.strategy, suspension.path)
+            wall = self._resume_after_spike(wall + segment_end)
 
     def run_through_spikes(self, plan: PlanNode, query_name: str, start: float = 0.0) -> PriceAwareOutcome:
         """Baseline: ignore prices and pay whatever the trace charges."""

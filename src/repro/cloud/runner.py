@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.costmodel.selector import AdaptiveStrategySelector, SelectorDecision
-from repro.engine.clock import SimulatedClock
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
-from repro.engine.errors import QuerySuspended, QueryTerminated
-from repro.engine.executor import QueryExecutor, QueryResult, resolve_morsel_size
+from repro.engine.execution import Generation, SuspendableExecution
+from repro.engine.executor import ExecutionCapture, QueryResult, resolve_morsel_size
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.obs.audit import DecisionJournal, resolve_adaptive_action
@@ -213,9 +212,7 @@ class QueryRunner:
         self.snapshot_dir = Path(snapshot_dir)
         self.snapshot_dir.mkdir(parents=True, exist_ok=True)
         self.morsel_size = resolve_morsel_size(morsel_size)
-        #: Worker backend / kernel set for every executor this runner
-        #: builds — the forced, adaptive, and resumed runs all share one
-        #: execution configuration so snapshots stay compatible.
+        #: Worker backend / kernel set for every executor this runner builds
         self.backend = backend
         self.kernels = kernels
         self.tracer = tracer
@@ -235,8 +232,7 @@ class QueryRunner:
         #: running optimizer-rewritten plans (pruning inserts them).
         self.select_operators = select_operators
         #: Gather-exchange inputs for plans containing ShuffleRead leaves
-        #: (repro.dist): supplied to every executor this runner builds,
-        #: including the fresh executor a resume constructs.
+        #: (repro.dist), supplied to every executor this runner builds.
         self.exchange_inputs = exchange_inputs
 
     # -- lifecycle ------------------------------------------------------------
@@ -267,8 +263,7 @@ class QueryRunner:
     # -- baselines -----------------------------------------------------------
     def measure_normal(self, plan: PlanNode, query_name: str) -> QueryResult:
         """Run without any threat; the paper's "normal execution time"."""
-        executor = self._executor(plan, query_name, SimulatedClock(), None)
-        return executor.run()
+        return self._execution(plan, query_name).run().result
 
     # -- forced strategy -------------------------------------------------------
     def run_forced(
@@ -285,15 +280,9 @@ class QueryRunner:
         ``termination_time`` is the sampled kill time (``None`` when the
         probabilistic termination does not occur).
         """
-        strategy = make_strategy(
-            strategy_name,
-            self.profile,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            codec=self.codec,
+        strategy = self._strategy(
+            strategy_name, self._begin_lifecycle(query_name, strategy_name)
         )
-        lifecycle = self._begin_lifecycle(query_name, strategy_name)
-        strategy.lifecycle = lifecycle
         outcome = RunOutcome(
             query_name=query_name,
             strategy=strategy_name,
@@ -305,21 +294,15 @@ class QueryRunner:
         controllers: list[ExecutionController] = [TerminationController(termination_time)]
         if request is not None:
             controllers.append(request)
-        clock = SimulatedClock()
-        executor = self._executor(plan, query_name, clock, CompositeController(controllers))
-        try:
-            result = executor.run()
-            outcome.busy_time = clock.now()
-            outcome.result = result
-            if lifecycle is not None:
-                lifecycle.span("run", 0.0, outcome.busy_time)
-            return self._record_outcome(outcome)
-        except QueryTerminated as terminated:
-            return self._rerun_after_termination(outcome, plan, query_name, terminated.at_time)
-        except QuerySuspended as suspended:
-            return self._persist_and_resume(
-                outcome, plan, query_name, strategy, executor, suspended, termination_time
-            )
+        execution = self._execution(plan, query_name)
+        generation = execution.run(CompositeController(controllers))
+        if generation.status == "finished":
+            return self._finish(outcome, generation)
+        if generation.status == "terminated":
+            return self._rerun_after_termination(outcome, execution, generation.killed_at)
+        return self._persist_and_resume(
+            outcome, execution, strategy, generation.capture, termination_time
+        )
 
     # -- adaptive ---------------------------------------------------------------
     def run_adaptive(
@@ -333,9 +316,8 @@ class QueryRunner:
         """Algorithm 1 decides if/when/how to suspend."""
         adaptive = AdaptiveController(selector)
         controller = CompositeController([TerminationController(termination_time), adaptive])
-        clock = SimulatedClock()
         lifecycle = self._begin_lifecycle(query_name, "adaptive")
-        executor = self._executor(plan, query_name, clock, controller)
+        execution = self._execution(plan, query_name)
         outcome = RunOutcome(
             query_name=query_name,
             strategy="adaptive",
@@ -343,37 +325,19 @@ class QueryRunner:
             busy_time=0.0,
             termination_time=termination_time,
         )
-        try:
-            result = executor.run()
-            outcome.busy_time = clock.now()
-            outcome.result = result
-            outcome.decision = adaptive.decision
-            if adaptive.decision is not None:
-                outcome.strategy = adaptive.decision.chosen
-            if lifecycle is not None:
-                lifecycle.span("run", 0.0, outcome.busy_time)
-            self._record_estimator_error(selector, normal_time)
-            return self._record_outcome(outcome)
-        except QueryTerminated as terminated:
-            outcome.decision = adaptive.decision
-            if adaptive.decision is not None:
-                outcome.strategy = adaptive.decision.chosen
-            return self._rerun_after_termination(outcome, plan, query_name, terminated.at_time)
-        except QuerySuspended as suspended:
-            outcome.decision = adaptive.decision
-            strategy = make_strategy(
-                adaptive.decision.chosen,
-                self.profile,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                codec=self.codec,
-            )
-            strategy.lifecycle = lifecycle
+        generation = execution.run(controller)
+        outcome.decision = adaptive.decision
+        if adaptive.decision is not None:
             outcome.strategy = adaptive.decision.chosen
-            self._record_estimator_error(selector, normal_time)
-            return self._persist_and_resume(
-                outcome, plan, query_name, strategy, executor, suspended, termination_time
-            )
+        if generation.status == "terminated":
+            return self._rerun_after_termination(outcome, execution, generation.killed_at)
+        self._record_estimator_error(selector, normal_time)
+        if generation.status == "finished":
+            return self._finish(outcome, generation)
+        strategy = self._strategy(outcome.strategy, lifecycle)
+        return self._persist_and_resume(
+            outcome, execution, strategy, generation.capture, termination_time
+        )
 
     # -- multi-suspension (§VI extension) -----------------------------------------
     def run_multi_suspension(
@@ -390,66 +354,50 @@ class QueryRunner:
         latency grows roughly linearly with the number of suspensions
         (the proportionality the paper notes in §VI).
         """
-        strategy = make_strategy(
-            strategy_name,
-            self.profile,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            codec=self.codec,
-        )
         lifecycle = self._begin_lifecycle(query_name, strategy_name)
-        strategy.lifecycle = lifecycle
+        strategy = self._strategy(strategy_name, lifecycle)
         outcome = RunOutcome(
             query_name=query_name,
             strategy=strategy_name,
             normal_time=normal_time,
             busy_time=0.0,
         )
-        resume_state = None
+        execution = self._execution(plan, query_name)
         pending = list(request_times)
         while True:
-            clock = SimulatedClock()
             base = outcome.busy_time
             request = (
                 strategy.make_request_controller(pending.pop(0)) if pending else None
             )
-            executor = self._executor(plan, query_name, clock, request, resume=resume_state)
-            try:
-                result = executor.run()
-                outcome.busy_time += clock.now()
-                outcome.result = result
+            generation = execution.run(request)
+            if generation.status == "finished":
+                outcome.busy_time += generation.end
+                outcome.result = generation.result
                 if lifecycle is not None:
                     lifecycle.span("run", base, outcome.busy_time)
                 return self._record_outcome(outcome)
-            except QuerySuspended as suspended:
-                persisted = strategy.persist(suspended.capture, self.snapshot_dir)
-                outcome.suspended = True
-                outcome.suspended_at = persisted.suspended_at
-                outcome.intermediate_bytes = max(
-                    outcome.intermediate_bytes, persisted.intermediate_bytes
-                )
-                outcome.persist_latency += persisted.persist_latency
-                if lifecycle is not None:
-                    lifecycle.span("run", base, base + clock.now())
-                outcome.busy_time += clock.now() + persisted.persist_latency
-                resumed = strategy.prepare_resume(
-                    persisted.snapshot_path, executor.pipelines, executor.plan_fingerprint
-                )
-                outcome.reload_latency += resumed.reload_latency
-                outcome.busy_time += resumed.reload_latency
-                resume_state = resumed.resume_state
+            persisted = execution.suspend(strategy, generation.capture, self.snapshot_dir).outcome
+            outcome.suspended = True
+            outcome.suspended_at = persisted.suspended_at
+            outcome.intermediate_bytes = max(
+                outcome.intermediate_bytes, persisted.intermediate_bytes
+            )
+            outcome.persist_latency += persisted.persist_latency
+            if lifecycle is not None:
+                lifecycle.span("run", base, base + generation.end)
+            outcome.busy_time += generation.end + persisted.persist_latency
+            resumed = execution.resume(strategy, persisted.snapshot_path)
+            outcome.reload_latency += resumed.reload_latency
+            outcome.busy_time += resumed.reload_latency
 
     # -- internals -------------------------------------------------------------
-    def _executor(self, plan, query_name, clock, controller, resume=None) -> QueryExecutor:
-        return QueryExecutor(
+    def _execution(self, plan: PlanNode, query_name: str) -> SuspendableExecution:
+        return SuspendableExecution(
             self.catalog,
             plan,
+            query_name,
             profile=self.profile,
-            clock=clock,
             morsel_size=self.morsel_size,
-            controller=controller,
-            query_name=query_name,
-            resume=resume,
             tracer=self.tracer,
             metrics=self.metrics,
             select_operators=self.select_operators,
@@ -457,6 +405,22 @@ class QueryRunner:
             kernels=self.kernels,
             exchange_inputs=self.exchange_inputs,
         )
+
+    def _strategy(self, name: str, lifecycle: QueryLifecycle | None) -> SuspensionStrategy:
+        """Strategy *name* with this runner's observers, bound to *lifecycle*."""
+        strategy = make_strategy(
+            name, self.profile, tracer=self.tracer, metrics=self.metrics, codec=self.codec
+        )
+        strategy.lifecycle = lifecycle
+        return strategy
+
+    def _finish(self, outcome: RunOutcome, generation: Generation) -> RunOutcome:
+        """Book an uninterrupted run."""
+        outcome.busy_time = generation.end
+        outcome.result = generation.result
+        if self._lifecycle is not None:
+            self._lifecycle.span("run", 0.0, outcome.busy_time)
+        return self._record_outcome(outcome)
 
     def _record_outcome(self, outcome: RunOutcome) -> RunOutcome:
         """Roll the finished run into the trace/metrics (accumulated cost)."""
@@ -542,9 +506,10 @@ class QueryRunner:
             )
 
     def _rerun_after_termination(
-        self, outcome: RunOutcome, plan: PlanNode, query_name: str, killed_at: float
+        self, outcome: RunOutcome, execution: SuspendableExecution, killed_at: float
     ) -> RunOutcome:
         """Progress lost at *killed_at*; re-run from scratch, threat-free."""
+        query_name = execution.query_name
         outcome.terminated = True
         if self.journal is not None:
             self.journal.append(
@@ -576,10 +541,9 @@ class QueryRunner:
                 category="termination",
                 suspension_failed=outcome.suspension_failed,
             )
-        clock = SimulatedClock()
-        result = self._executor(plan, query_name, clock, None).run()
-        outcome.busy_time = killed_at + clock.now()
-        outcome.result = result
+        rerun = execution.run()
+        outcome.busy_time = killed_at + rerun.end
+        outcome.result = rerun.result
         if lifecycle is not None:
             lifecycle.span("rerun", killed_at, outcome.busy_time)
         return self._record_outcome(outcome)
@@ -587,28 +551,32 @@ class QueryRunner:
     def _persist_and_resume(
         self,
         outcome: RunOutcome,
-        plan: PlanNode,
-        query_name: str,
+        execution: SuspendableExecution,
         strategy: SuspensionStrategy,
-        executor: QueryExecutor,
-        suspended: QuerySuspended,
+        capture: ExecutionCapture,
         termination_time: float | None,
     ) -> RunOutcome:
+        query_name = execution.query_name
         lifecycle = self._lifecycle
         if lifecycle is not None:
-            lifecycle.span("run", 0.0, suspended.capture.clock_time)
+            lifecycle.span("run", 0.0, capture.clock_time)
             lifecycle.instant(
                 "suspend",
-                suspended.capture.clock_time,
+                capture.clock_time,
                 category="suspend",
                 strategy=outcome.strategy,
             )
-        persisted = strategy.persist(suspended.capture, self.snapshot_dir)
+        # With a store the snapshot moves into it at the suspension point,
+        # so a process that goes away before resuming leaves it behind.
+        suspension = execution.suspend(
+            strategy, capture, self.snapshot_dir, store=self.store, deadline=termination_time
+        )
+        persisted = suspension.outcome
         outcome.suspended = True
         outcome.suspended_at = persisted.suspended_at
         outcome.intermediate_bytes = persisted.intermediate_bytes
         outcome.persist_latency = persisted.persist_latency
-        finish_persist = persisted.suspended_at + persisted.persist_latency
+        finish_persist = suspension.finished_at
         if self.journal is not None:
             self.journal.append(
                 "suspend",
@@ -619,44 +587,27 @@ class QueryRunner:
                 persist_latency=persisted.persist_latency,
                 codec=persisted.codec,
             )
-        if termination_time is not None and finish_persist >= termination_time:
+        if suspension.lost:
             # The kill arrived before the snapshot hit stable storage.
             outcome.suspension_failed = True
-            return self._rerun_after_termination(outcome, plan, query_name, termination_time)
-        snapshot_path = persisted.snapshot_path
-        if self.store is not None:
-            # Move the snapshot into the durable store and persist the
-            # journal *at the suspension point*: if the process goes away
-            # before resuming, the decision history survives with it.
-            record = self.store.register(persisted, query_name)
-            snapshot_path = self.store.materialize(record)
-            if self.journal is not None:
-                self.store.save_journal(query_name, self.journal)
-        resumed = strategy.prepare_resume(
-            snapshot_path, executor.pipelines, executor.plan_fingerprint
-        )
+            return self._rerun_after_termination(outcome, execution, termination_time)
+        if self.store is not None and self.journal is not None:
+            # The decision history survives with the snapshot.
+            self.store.save_journal(query_name, self.journal)
+        resumed = execution.resume(strategy, suspension.path)
         outcome.reload_latency = resumed.reload_latency
+        resume_start = finish_persist + resumed.reload_latency
         if self.journal is not None:
             self.journal.append(
                 "resume",
                 query_name,
-                finish_persist + resumed.reload_latency,
+                resume_start,
                 strategy=outcome.strategy,
                 reload_latency=resumed.reload_latency,
             )
-        clock = SimulatedClock()
-        remaining = self._executor(
-            plan, query_name, clock, None, resume=resumed.resume_state
-        )
-        result = remaining.run()
-        outcome.busy_time = (
-            finish_persist + resumed.reload_latency + clock.now()
-        )
-        outcome.result = result
+        final = execution.run()
+        outcome.busy_time = resume_start + final.end
+        outcome.result = final.result
         if lifecycle is not None:
-            lifecycle.span(
-                "run:resumed",
-                finish_persist + resumed.reload_latency,
-                outcome.busy_time,
-            )
+            lifecycle.span("run:resumed", resume_start, outcome.busy_time)
         return self._record_outcome(outcome)

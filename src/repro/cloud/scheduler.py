@@ -21,8 +21,8 @@ from pathlib import Path
 
 from repro.cloud.segments import SegmentTimeline, segments_for
 from repro.engine.clock import SimulatedClock
-from repro.engine.errors import QuerySuspended
-from repro.engine.executor import QueryExecutor, ResumeState
+from repro.engine.execution import SuspendableExecution
+from repro.engine.executor import QueryExecutor
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.obs.audit import DecisionJournal
@@ -190,7 +190,15 @@ class SuspensionScheduler:
         report: ScheduleReport,
     ) -> float:
         now = start
-        resume_state: ResumeState | None = None
+        execution = SuspendableExecution(
+            self.catalog,
+            request.plan,
+            request.name,
+            profile=self.profile,
+            morsel_size=self.morsel_size,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
         suspensions = 0
         # The timeline attributes every gap between runs automatically:
         # queued before the first run (including time spent draining
@@ -200,72 +208,50 @@ class SuspensionScheduler:
         while True:
             # Interactive queries already waiting run before the long query
             # (re)occupies the worker.
-            while True:
-                ready = [r for r in pending if r.interactive and r.arrival_time <= now]
-                if not ready:
-                    break
-                short = ready[0]
-                pending.remove(short)
-                now = self._run_to_completion(short, max(now, short.arrival_time), report)
+            now = self._drain_interactive(pending, now, report)
             interactive_waiting = [r for r in pending if r.interactive]
             next_arrival = min(
                 (r.arrival_time for r in interactive_waiting), default=None
             )
             run_start = now
-            clock = SimulatedClock(now)
             if next_arrival is not None and next_arrival > now:
                 controller = self.strategy.make_request_controller(next_arrival)
             else:
                 controller = None
-            executor = QueryExecutor(
-                self.catalog,
-                request.plan,
-                profile=self.profile,
-                clock=clock,
-                morsel_size=self.morsel_size,
-                controller=controller,
-                query_name=request.name,
-                resume=resume_state,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            try:
-                executor.run()
-                timeline.run(run_start, clock.now())
+            generation = execution.run(controller, now)
+            if generation.status == "finished":
+                timeline.run(run_start, generation.end)
                 completion = QueryCompletion(
                     request.name,
                     request.arrival_time,
-                    clock.now(),
+                    generation.end,
                     suspensions,
                     segments=timeline.segments,
                 )
                 report.completions.append(completion)
                 self._record_completion(completion, policy="preemptive")
-                return clock.now()
-            except QuerySuspended as suspended:
-                persisted = self.strategy.persist(suspended.capture, self.snapshot_dir)
-                suspensions += 1
-                now = clock.now() + persisted.persist_latency
-                # Persisting is still busy time on the worker; the suspended
-                # gap starts once the snapshot is on stable storage.
-                timeline.run(run_start, now)
-                # Drain every interactive query that has arrived by now (or
-                # arrives while the worker is busy with earlier ones).
-                while True:
-                    ready = [
-                        r for r in pending if r.interactive and r.arrival_time <= now
-                    ]
-                    if not ready:
-                        break
-                    short = ready[0]
-                    pending.remove(short)
-                    now = self._run_to_completion(short, max(now, short.arrival_time), report)
-                resumed = self.strategy.prepare_resume(
-                    persisted.snapshot_path, executor.pipelines, executor.plan_fingerprint
-                )
-                now += resumed.reload_latency
-                resume_state = resumed.resume_state
-                resume_state.clock_time = 0.0
+                return generation.end
+            suspension = execution.suspend(self.strategy, generation.capture, self.snapshot_dir)
+            suspensions += 1
+            now = generation.end + suspension.outcome.persist_latency
+            # Persisting is still busy time on the worker; the suspended
+            # gap starts once the snapshot is on stable storage.
+            timeline.run(run_start, now)
+            now = self._drain_interactive(pending, now, report)
+            now += execution.resume(self.strategy, suspension.path).reload_latency
+
+    def _drain_interactive(
+        self, pending: list[QueryRequest], now: float, report: ScheduleReport
+    ) -> float:
+        """Run every interactive query that has arrived by *now* (or arrives
+        while the worker is busy with earlier ones); returns the new time."""
+        while True:
+            ready = [r for r in pending if r.interactive and r.arrival_time <= now]
+            if not ready:
+                return now
+            short = ready[0]
+            pending.remove(short)
+            now = self._run_to_completion(short, max(now, short.arrival_time), report)
 
     def _record_completion(self, completion: QueryCompletion, policy: str) -> None:
         if self.journal is not None:

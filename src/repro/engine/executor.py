@@ -168,7 +168,6 @@ class ResumeState:
 
     completed_states: dict[int, GlobalSinkState]
     stats: QueryStats
-    clock_time: float = 0.0
     skipped_pipelines: set[int] = field(default_factory=set)
     current_pipeline: int | None = None
     next_morsel: int = 0
@@ -311,8 +310,6 @@ class QueryExecutor:
         self.completed_states = dict(resume.completed_states)
         self.skipped_pipelines = set(resume.skipped_pipelines)
         self.stats = resume.stats
-        if isinstance(self.clock, SimulatedClock) and self.clock.now() < resume.clock_time:
-            self.clock.advance(resume.clock_time - self.clock.now())
         for pid, state in self.completed_states.items():
             self.memory.set_charge(f"global:{pid}", state.nbytes)
         if self.tracer is not None:

@@ -45,8 +45,8 @@ import numpy as np
 from repro.cloud.segments import SegmentTimeline
 from repro.engine.clock import SimulatedClock
 from repro.engine.controller import ExecutionController
-from repro.engine.errors import QuerySuspended, QueryTerminated
-from repro.engine.executor import QueryExecutor, ResumeState
+from repro.engine.execution import SuspendableExecution
+from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
 from repro.fleet.admission import AdmissionController, FleetRejected, SchedulingPolicy
 from repro.fleet.events import (
@@ -237,8 +237,8 @@ class _FleetQuery:
         self.lost_segments = 0
         self.persisted_bytes = 0
         self.snapshot_path = None
-        self.pipelines = None
-        self.fingerprint = None
+        #: engine-fidelity execution across dispatch slices (built lazily)
+        self.execution: SuspendableExecution | None = None
         #: macro-fidelity snapshot bookkeeping (None in engine fidelity)
         self.macro: MacroQueryState | None = None
         #: causal span tree (None when the fleet runs unobserved)
@@ -715,50 +715,39 @@ class FleetCluster:
         request_at: float | None,
     ) -> tuple[_SliceOutcome, float | None]:
         """One dispatch slice through the real morsel executor."""
-        resume_state: ResumeState | None = None
+        if query.execution is None:
+            query.execution = SuspendableExecution(
+                self.catalog,
+                self._plan(query.arrival.query),
+                query.arrival.name,
+                profile=self.profile,
+                morsel_size=self.morsel_size,
+            )
+        execution = query.execution
         clock_start = start
         reload_end = None
         if query.snapshot_path is not None:
             # Fresh resume preparation per dispatch: the reload is paid
             # every time the snapshot comes back off storage.
-            resumed = self.strategy.prepare_resume(
-                query.snapshot_path, query.pipelines, query.fingerprint
-            )
-            resume_state = resumed.resume_state
-            resume_state.clock_time = 0.0
+            resumed = execution.resume(self.strategy, query.snapshot_path)
             clock_start = start + resumed.reload_latency
             # Span emission is deferred until the slice's fate is known:
             # a reclamation can land mid-reload, which truncates it.
             reload_end = clock_start
-        clock = SimulatedClock(clock_start)
-        controller = self._controllers(window_end, request_at)
-        executor = QueryExecutor(
-            self.catalog,
-            self._plan(query.arrival.query),
-            profile=self.profile,
-            clock=clock,
-            morsel_size=self.morsel_size,
-            controller=controller,
-            query_name=query.arrival.name,
-            resume=resume_state,
-        )
-        query.pipelines = executor.pipelines
-        query.fingerprint = executor.plan_fingerprint
-        try:
-            executor.run()
-        except QuerySuspended as suspended:
-            persisted = self.strategy.persist(suspended.capture, self.snapshot_dir)
+        generation = execution.run(self._controllers(window_end, request_at), clock_start)
+        if generation.status == "suspended":
+            suspension = execution.suspend(self.strategy, generation.capture, self.snapshot_dir)
             outcome = _SliceOutcome(
                 kind="suspend",
-                suspended_at=persisted.suspended_at,
-                persist_latency=persisted.persist_latency,
-                intermediate_bytes=persisted.intermediate_bytes,
-                snapshot_path=persisted.snapshot_path,
+                suspended_at=suspension.outcome.suspended_at,
+                persist_latency=suspension.outcome.persist_latency,
+                intermediate_bytes=suspension.outcome.intermediate_bytes,
+                snapshot_path=suspension.path,
             )
             return outcome, reload_end
-        except QueryTerminated:
+        if generation.status == "terminated":
             return _SliceOutcome(kind="terminate"), reload_end
-        return _SliceOutcome(kind="complete", end=clock.now()), reload_end
+        return _SliceOutcome(kind="complete", end=generation.end), reload_end
 
     def _macro_slice(
         self,
@@ -819,7 +808,8 @@ class FleetCluster:
             if end > window_end + _EPSILON:
                 # The snapshot missed the reclamation: the window's
                 # progress is lost and the query falls back to its
-                # previous snapshot (or scratch).
+                # previous snapshot path (or scratch).  Known defect:
+                # this attempt already overwrote that file.
                 if lifecycle is not None:
                     lifecycle.instant(
                         "persist:missed-window",

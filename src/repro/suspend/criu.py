@@ -113,7 +113,6 @@ class SimulatedCriu:
         return ResumeState(
             completed_states=completed,
             stats=image.stats,
-            clock_time=0.0,
             current_pipeline=image.current_pipeline,
             next_morsel=image.next_morsel,
             rows_in_pipeline=image.rows_in_pipeline,

@@ -80,7 +80,6 @@ class PipelineLevelStrategy(SuspensionStrategy):
         resume = ResumeState(
             completed_states=completed,
             stats=snapshot.stats,
-            clock_time=0.0,
             skipped_pipelines=set(snapshot.completed_pipelines),
         )
         target_profile = profile or self.profile

@@ -70,3 +70,11 @@ def assert_chunks_equal(left, right, float_rtol: float = 1e-9) -> None:
             np.testing.assert_allclose(a, b, rtol=float_rtol, equal_nan=True)
         else:
             np.testing.assert_array_equal(a, b)
+
+
+def assert_bit_identical(left, right) -> None:
+    """Same schema and byte-for-byte equal columns."""
+    assert left.schema.names == right.schema.names
+    for a, b in zip(left.arrays(), right.arrays()):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()

@@ -1,5 +1,7 @@
 """Intermittent (zero-carbon) execution across availability windows."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cloud.availability import (
@@ -113,6 +115,41 @@ class TestIntermittentExecution:
         long = AvailabilityTrace.periodic(normal.stats.duration * 2, 1.0, 1)
         outcome = runner.run(build_query("Q6"), "Q6", long)
         assert outcome.completed
+
+    def test_missed_persist_keeps_the_last_good_snapshot(self, tpch_tiny, tmp_path, profile):
+        """A good suspension, then one that misses its window: the next
+        window reloads the good snapshot's bytes, not the missed one's."""
+
+        class SecondPersistMisses(ProcessLevelStrategy):
+            def __init__(self, profile):
+                super().__init__(profile)
+                self.persisted = []
+                self.reloaded = []
+
+            def persist(self, capture, directory):
+                outcome = super().persist(capture, directory)
+                self.persisted.append(Path(outcome.snapshot_path).read_bytes())
+                if len(self.persisted) == 2:
+                    outcome.persist_latency = float("inf")
+                return outcome
+
+            def prepare_resume(self, snapshot_path, pipelines, plan_fingerprint, profile=None):
+                self.reloaded.append(Path(snapshot_path).read_bytes())
+                return super().prepare_resume(snapshot_path, pipelines, plan_fingerprint, profile)
+
+        normal = self._normal(tpch_tiny, "Q3", profile)
+        strategy = SecondPersistMisses(profile)
+        runner = IntermittentRunner(
+            tpch_tiny, strategy, profile=profile, snapshot_dir=tmp_path, morsel_size=1024
+        )
+        trace = AvailabilityTrace.periodic(normal.stats.duration * 0.4, 5.0, 12)
+        outcome = runner.run(build_query("Q3"), "Q3", trace)
+        assert [s.lost_progress for s in outcome.segments[:2]] == [False, True]
+        good, missed = strategy.persisted[:2]
+        assert good != missed
+        assert strategy.reloaded[:2] == [good, good]
+        assert outcome.completed
+        assert_chunks_equal(normal.chunk, outcome.result.chunk)
 
     def test_busy_time_bounded_by_windows(self, tpch_tiny, tmp_path, profile):
         normal = self._normal(tpch_tiny, "Q3", profile)

@@ -28,6 +28,8 @@ from repro.optimizer import optimize_plan
 from repro.suspend import SnapshotStore
 from repro.tpch import QUERY_NAMES, build_query
 
+from tests.conftest import assert_bit_identical
+
 _SHARDED_CACHE: dict = {}
 _BASELINE_CACHE: dict = {}
 _OPTIMIZED_CACHE: dict = {}
@@ -64,13 +66,6 @@ def _run_sharded(
     dist = split_plan(sharded, _optimized(catalog, query), pushdown=pushdown)
     coordinator = Coordinator(sharded, select_operators=True, **kwargs)
     return coordinator.run(dist, query, suspend=suspend), dist, coordinator
-
-
-def assert_bit_identical(left, right):
-    assert left.schema.names == right.schema.names
-    for a, b in zip(left.arrays(), right.arrays()):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
 
 
 class TestPartitioning:

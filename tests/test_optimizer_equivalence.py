@@ -23,6 +23,8 @@ from repro.optimizer import OptimizerFlags, optimize_plan
 from repro.suspend import PipelineLevelStrategy, ProcessLevelStrategy, RedoStrategy
 from repro.tpch import QUERY_NAMES, build_query
 
+from tests.conftest import assert_bit_identical
+
 
 def run_plan(catalog, plan, name, optimized):
     return QueryExecutor(
@@ -32,13 +34,6 @@ def run_plan(catalog, plan, name, optimized):
         lazy_filters=optimized,
         select_operators=optimized,
     ).run()
-
-
-def assert_bit_identical(left, right):
-    assert left.schema.names == right.schema.names
-    for a, b in zip(left.arrays(), right.arrays()):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("query", QUERY_NAMES)
