@@ -8,6 +8,10 @@ Commands:
   ``--trace-out`` exports a Chrome-trace/Perfetto JSON of the run;
 * ``trace`` — run a query with full tracing and export the trace
   (Chrome-trace JSON, optional JSONL) plus a text summary;
+* ``why`` — run a named query under a termination window with
+  Algorithm 1 choosing, then print every decision, the forced-strategy
+  counterfactuals and (``--replay``) a bit-for-bit replay of the
+  journal; ``--shards N`` aims the threat at one shard's fragment;
 * ``fleet`` — simulate a multi-tenant workload over N suspension-capable
   workers with admission control and SLO accounting (``repro.fleet``);
   ``--timeline-out`` additionally writes the ``riveter-timeline/1``
@@ -23,6 +27,12 @@ Commands:
   run without touching its virtual artifacts;
 * ``experiments`` — alias for ``python -m repro.harness`` (regenerate the
   paper's figures and tables).
+
+The commands keep no execution loop of their own: unsharded
+``query``/``trace``/``profile`` call ``run_forced`` on one observed
+:class:`~repro.cloud.runner.QueryRunner` (with a suspension request
+under ``--suspend-at``), ``why`` calls ``run_adaptive``, and sharded
+runs go through :class:`~repro.dist.Coordinator`.
 
 A top-level ``--seed`` on ``query``/``trace``/``why`` (always present on
 ``fleet``) is a *master* seed: every random stream — TPC-H data
@@ -47,8 +57,6 @@ import sys
 import tempfile
 
 from repro.engine.backend import BACKEND_NAMES
-from repro.engine.execution import SuspendableExecution
-from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.kernels import KERNEL_NAMES
 from repro.engine.profile import HardwareProfile
 from repro.harness.report import format_table
@@ -117,143 +125,72 @@ def _optimize(catalog, plan, label, args, journal=None):
     )
 
 
-def _execute(
-    catalog,
-    plan,
-    label: str,
-    profile: HardwareProfile,
-    args: argparse.Namespace,
-    tracer: Tracer | None,
-    metrics: MetricsRegistry | None,
-    verbose: bool = True,
-    selection_vectors: bool = True,
-    recorder=None,
-    profiler=None,
-) -> QueryResult:
-    """Run the query, optionally suspending and resuming it midway.
+def _run(catalog, plan, label: str, flags, args: argparse.Namespace, **observers):
+    """Run *plan* through one observed :class:`QueryRunner`.
 
-    Under ``--suspend-at`` the resumed generation's clock starts at
-    ``suspended_at + persist + reload``, so the exported trace shows one
-    contiguous busy timeline.
-
-    *selection_vectors* controls both lazy selection-vector filtering and
-    the compilation of identity projections to zero-cost selects.
-
-    *profiler* (a :class:`~repro.obs.profile.QueryProfiler`) attaches
-    wall-clock profiling to the measured run, including every generation
-    of an interrupted one.  The untraced measuring run stays unprofiled:
-    it only calibrates the suspension point.
+    Under ``--suspend-at`` the runner suspends at that fraction of the
+    threat-free normal time, persists, reloads and finishes (paper §III,
+    Fig. 5); the normal time is measured on an observer-free copy of the
+    runner, so that run stays out of every artifact.  *observers* are
+    the runner's tracer/metrics/recorder/profiler.  Returns
+    ``(outcome, normal_time)``; ``normal_time`` is None when the run is
+    uninterrupted.  Without ``--snapshot-dir`` snapshots go to a temporary
+    directory removed afterwards.
     """
-    exec_opts = dict(
-        lazy_filters=selection_vectors,
-        select_operators=selection_vectors,
-        backend=getattr(args, "backend", None),
-        kernels=getattr(args, "kernels", None),
-        morsel_size=getattr(args, "morsel_size", None),
-    )
-    if args.suspend_at is None:
-        result = QueryExecutor(
-            catalog, plan, profile=profile, query_name=label, tracer=tracer,
-            metrics=metrics, profiler=profiler, **exec_opts,
-        ).run()
-        if recorder is not None:
-            _record_query_lifecycle(
-                recorder, tracer, label, result.stats.finished_at, suspended=False
-            )
-        if verbose:
-            _print_chunk(result.chunk)
-            print(f"\n{result.chunk.num_rows} row(s); simulated time {result.stats.duration:.2f}s")
-        return result
+    from repro.cloud.runner import QueryRunner
 
-    # Untraced measuring run: --suspend-at is a fraction of the normal time.
-    normal = QueryExecutor(
-        catalog, plan, profile=profile, query_name=label, **exec_opts
-    ).run()
-    codec_name = getattr(args, "codec", "raw")
-    strategy = (
-        ProcessLevelStrategy(profile, tracer=tracer, metrics=metrics, codec=codec_name)
-        if args.strategy == "process"
-        else PipelineLevelStrategy(profile, tracer=tracer, metrics=metrics, codec=codec_name)
-    )
-    lifecycle = None
-    if recorder is not None:
-        from repro.obs.timeline import QueryLifecycle
+    with tempfile.TemporaryDirectory(prefix="riveter-cli-") as scratch:
+        directory = args.snapshot_dir or scratch
+        store = None
+        if args.incremental:
+            from repro.suspend import SnapshotStore
 
-        lifecycle = QueryLifecycle(
-            label, 0.0, tracer, recorder, category="cloud", strategy=strategy.name
+            store = SnapshotStore(directory, incremental=True)
+        runner = QueryRunner(
+            catalog, HardwareProfile(), snapshot_dir=directory, morsel_size=args.morsel_size,
+            codec=args.codec, store=store, select_operators=flags.selection_vectors,
+            lazy_filters=flags.selection_vectors, backend=args.backend, kernels=args.kernels,
+            **observers,
         )
-        strategy.lifecycle = lifecycle
-    controller = strategy.make_request_controller(normal.stats.duration * args.suspend_at)
-    execution = SuspendableExecution(
-        catalog,
-        plan,
-        label,
-        profile=profile,
-        tracer=tracer,
-        metrics=metrics,
-        profiler=profiler,
-        **exec_opts,
-    )
-    directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-cli-")
-    generation = execution.run(controller)
-    if generation.status == "finished":
-        result = generation.result
-        if lifecycle is not None:
-            lifecycle.span("run", 0.0, result.stats.finished_at)
-            lifecycle.finish(result.stats.finished_at, suspended=False)
-            _record_query_completion(recorder, lifecycle, label, result.stats.finished_at, False)
-        if verbose:
-            print("query finished before the suspension point; results:")
-            _print_chunk(result.chunk)
-        return result
-    capture = generation.capture
-    if lifecycle is not None:
-        lifecycle.span("run", 0.0, capture.clock_time)
-        lifecycle.instant("suspend", capture.clock_time, category="suspend")
-    store = None
-    if args.incremental:
-        from repro.suspend import SnapshotStore
+        normal = request = None
+        if args.suspend_at is not None:
+            normal = runner.unobserved().measure_normal(plan, label).stats.duration
+            request = normal * args.suspend_at
+        return runner.run_forced(plan, label, args.strategy, normal, None, request), normal
 
-        store = SnapshotStore(directory, incremental=True)
-    suspension = execution.suspend(strategy, capture, directory, store=store)
-    outcome = suspension.outcome
-    if verbose and suspension.record is not None and suspension.record.is_delta:
+
+def _print_run(outcome, normal: float | None) -> None:
+    result = outcome.result
+    if normal is None:
+        _print_chunk(result.chunk)
+        print(f"\n{result.chunk.num_rows} row(s); simulated time {result.stats.duration:.2f}s")
+        return
+    if not outcome.suspended:
+        print("query finished before the suspension point; results:")
+        _print_chunk(result.chunk)
+        return
+    if outcome.record is not None and outcome.record.is_delta:
         print(
-            f"incremental: stored delta of sequence {suspension.record.delta_of} "
-            f"({suspension.record.file_bytes} bytes on disk)"
+            f"incremental: stored delta of sequence {outcome.record.delta_of} "
+            f"({outcome.record.file_bytes} bytes on disk)"
         )
-    if verbose:
-        encoded_note = ""
-        if outcome.raw_bytes is not None and outcome.codec != "raw":
-            encoded_note = f", {outcome.raw_bytes} bytes raw via codec {outcome.codec!r}"
-        print(
-            f"suspended at t={outcome.suspended_at:.2f}s "
-            f"({outcome.intermediate_bytes} bytes persisted via "
-            f"{strategy.name}-level{encoded_note})"
-        )
-    resumed = execution.resume(strategy, suspension.path)
-    resume_start = outcome.suspended_at + outcome.persist_latency + resumed.reload_latency
-    final = execution.run(start=resume_start).result
-    if lifecycle is not None:
-        lifecycle.span("run:resumed", resume_start, final.stats.finished_at)
-        lifecycle.finish(
-            final.stats.finished_at,
-            suspended=True,
-            persisted_bytes=outcome.intermediate_bytes,
-        )
-        _record_query_completion(recorder, lifecycle, label, final.stats.finished_at, True)
-    if verbose:
-        print("resumed and finished; results:")
-        _print_chunk(final.chunk)
-        print(f"\n{final.chunk.num_rows} row(s); normal simulated time {normal.stats.duration:.2f}s")
-    return final
+    encoded_note = ""
+    if outcome.raw_bytes is not None and outcome.codec != "raw":
+        encoded_note = f", {outcome.raw_bytes} bytes raw via codec {outcome.codec!r}"
+    print(
+        f"suspended at t={outcome.suspended_at:.2f}s "
+        f"({outcome.intermediate_bytes} bytes persisted via "
+        f"{outcome.strategy}-level{encoded_note})"
+    )
+    print("resumed and finished; results:")
+    _print_chunk(result.chunk)
+    print(f"\n{result.chunk.num_rows} row(s); normal simulated time {normal:.2f}s")
 
 
 def _execute_dist(
     catalog,
     optimized,
     label: str,
-    profile: HardwareProfile,
     args: argparse.Namespace,
     tracer: Tracer | None,
     metrics: MetricsRegistry | None,
@@ -281,7 +218,7 @@ def _execute_dist(
         store = SnapshotStore(directory, incremental=True)
     coordinator = Coordinator(
         sharded,
-        profile,
+        HardwareProfile(),
         morsel_size=args.morsel_size,
         tracer=tracer,
         metrics=metrics,
@@ -289,6 +226,7 @@ def _execute_dist(
         store=store,
         snapshot_dir=directory,
         select_operators=optimized.flags.selection_vectors,
+        lazy_filters=optimized.flags.selection_vectors,
         backend=args.backend,
         kernels=args.kernels,
     )
@@ -315,32 +253,8 @@ def _execute_dist(
     return result, dist
 
 
-def _record_query_lifecycle(recorder, tracer, label, finished_at, suspended) -> None:
-    """Lifecycle tree for an uninterrupted single-query run."""
-    from repro.obs.timeline import QueryLifecycle
-
-    lifecycle = QueryLifecycle(label, 0.0, tracer, recorder, category="cloud")
-    lifecycle.span("run", 0.0, finished_at)
-    lifecycle.finish(finished_at, suspended=suspended)
-    _record_query_completion(recorder, lifecycle, label, finished_at, suspended)
-
-
-def _record_query_completion(recorder, lifecycle, label, finished_at, suspended) -> None:
-    recorder.add_completion(
-        {
-            "name": label,
-            "arrival_time": 0.0,
-            "finished_at": finished_at,
-            "latency": finished_at,
-            "suspended": suspended,
-            "trace_id": lifecycle.trace_id,
-        }
-    )
-
-
 def cmd_query(args: argparse.Namespace) -> int:
     catalog = _make_catalog(args.scale, args.seed)
-    profile = HardwareProfile()
     plan, label = _resolve_plan(args, catalog)
     if plan is None:
         print(label, file=sys.stderr)
@@ -384,9 +298,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         if args.analyze or args.trace_out:
             metrics = MetricsRegistry()
             tracer = Tracer(metrics=metrics)
-        result, dist = _execute_dist(
-            catalog, optimized, label, profile, args, tracer, metrics
-        )
+        result, dist = _execute_dist(catalog, optimized, label, args, tracer, metrics)
         if args.analyze:
             from repro.engine.explain import explain_analyze
             from repro.harness.report import format_shard_fragments
@@ -428,17 +340,17 @@ def cmd_query(args: argparse.Namespace) -> int:
 
         profiler = QueryProfiler()
 
-    result = _execute(
-        catalog, optimized.plan, label, profile, args, tracer, metrics,
-        verbose=True, selection_vectors=optimized.flags.selection_vectors,
-        recorder=recorder, profiler=profiler,
+    outcome, normal = _run(
+        catalog, optimized.plan, label, optimized.flags, args,
+        tracer=tracer, metrics=metrics, recorder=recorder, profiler=profiler,
     )
+    _print_run(outcome, normal)
 
     if args.analyze:
         from repro.engine.explain import explain_analyze
 
         print()
-        print(explain_analyze(catalog, optimized.plan, result.stats, tracer))
+        print(explain_analyze(catalog, optimized.plan, outcome.result.stats, tracer))
     if args.trace_out:
         from repro.obs.export import write_chrome_trace
 
@@ -457,7 +369,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     catalog = _make_catalog(args.scale, args.seed)
-    profile = HardwareProfile()
     plan, label = _resolve_plan(args, catalog)
     if plan is None:
         print(label, file=sys.stderr)
@@ -477,14 +388,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
         profiler = QueryProfiler()
     if args.shards > 1:
-        _execute_dist(
-            catalog, optimized, label, profile, args, tracer, metrics, verbose=False
-        )
+        _execute_dist(catalog, optimized, label, args, tracer, metrics, verbose=False)
     else:
-        _execute(
-            catalog, optimized.plan, label, profile, args, tracer, metrics,
-            verbose=False, selection_vectors=optimized.flags.selection_vectors,
-            profiler=profiler,
+        _run(
+            catalog, optimized.plan, label, optimized.flags, args,
+            tracer=tracer, metrics=metrics, profiler=profiler,
         )
     count = write_chrome_trace(tracer, args.out)
     print(f"wrote {count} trace event(s) to {args.out}")
@@ -507,136 +415,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_why(args: argparse.Namespace) -> int:
-    """Run a query adaptively and explain every suspension decision."""
-    import json as json_mod
+    """Run a query adaptively under a threat window and explain every decision.
 
-    from repro.cloud.events import sample_events
-    from repro.cloud.runner import QueryRunner
-    from repro.costmodel.optimizer_est import OptimizerSizeEstimator
-    from repro.costmodel.selector import AdaptiveStrategySelector
-    from repro.costmodel.termination import TerminationProfile
-    from repro.harness.report import estimator_accuracy, format_estimator_accuracy
-    from repro.obs.audit import DecisionJournal, ReplayMismatch, replay_journal
-    from repro.suspend.store import SnapshotStore
-
-    if args.name not in QUERY_NAMES:
-        print(f"unknown query {args.name}; expected one of {QUERY_NAMES}", file=sys.stderr)
-        return 2
-    if args.shards > 1:
-        return _cmd_why_dist(args)
-    catalog = _make_catalog(args.scale, args.seed)
-    profile = HardwareProfile()
-
-    directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-why-")
-    journal = DecisionJournal()
-    optimized = _optimize(catalog, build_query(args.name), args.name, args, journal=journal)
-    plan = optimized.plan
-    store = SnapshotStore(directory, incremental=args.incremental)
-    runner = QueryRunner(
-        catalog, profile, snapshot_dir=directory, journal=journal, store=store,
-        select_operators=optimized.flags.selection_vectors,
-        backend=args.backend, kernels=args.kernels, morsel_size=args.morsel_size,
-    )
-    normal = runner.measure_normal(plan, args.name).stats.duration
-    termination = TerminationProfile.from_fractions(
-        normal, args.window[0], args.window[1], args.probability
-    )
-    if args.seed is None:
-        termination_seed = 42  # historical default, keeps old audits stable
-    else:
-        from repro.seeding import derive_seed
-
-        termination_seed = derive_seed(args.seed, "termination")
-    event = sample_events(termination, 1, seed=termination_seed)[0]
-    estimator = OptimizerSizeEstimator(catalog)
-    selector = AdaptiveStrategySelector(
-        profile=profile,
-        termination=termination,
-        process_size_estimator=lambda fraction: estimator.estimate_bytes(plan, fraction),
-        estimated_total_time=normal,
-        journal=journal,
-        estimator_label="optimizer",
-    )
-    outcome = runner.run_adaptive(plan, args.name, selector, normal, event.at_time)
-
-    # Counterfactuals: what each fixed strategy would actually have cost.
-    # Run on a journal-less runner so the main journal records only the
-    # adaptive deliberation, then summarize into `counterfactual` records.
-    side_runner = QueryRunner(
-        catalog, profile, snapshot_dir=directory,
-        select_operators=optimized.flags.selection_vectors,
-        backend=args.backend, kernels=args.kernels, morsel_size=args.morsel_size,
-    )
-    request = termination.t_start
-    for strategy in ("redo", "pipeline", "process"):
-        forced = side_runner.run_forced(
-            plan, args.name, strategy, normal, event.at_time, request
-        )
-        journal.append(
-            "counterfactual",
-            args.name,
-            forced.busy_time,
-            strategy=strategy,
-            busy_time=forced.busy_time,
-            overhead=forced.overhead,
-            suspended=forced.suspended,
-            suspension_failed=forced.suspension_failed,
-            terminated=forced.terminated,
-            intermediate_bytes=forced.intermediate_bytes,
-        )
-    store.save_journal(args.name, journal)
-    if args.journal_out:
-        journal.write_jsonl(args.journal_out)
-
-    accuracy = estimator_accuracy(journal)
-    if args.json:
-        counterfactuals = {
-            r.payload["strategy"]: r.payload for r in journal.by_kind("counterfactual")
-        }
-        payload = {
-            "query": args.name,
-            "scale": args.scale,
-            "normal_time": normal,
-            "termination": termination.to_json(),
-            "termination_at": event.at_time,
-            "outcome": {
-                "strategy": outcome.strategy,
-                "busy_time": outcome.busy_time,
-                "overhead": outcome.overhead,
-                "suspended": outcome.suspended,
-                "terminated": outcome.terminated,
-            },
-            "counterfactuals": counterfactuals,
-            "estimator_accuracy": accuracy,
-            "journal": [r.to_json() for r in journal.records],
-        }
-        print(json_mod.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _print_why_report(args.name, normal, event, outcome, journal, accuracy)
-
-    if args.replay:
-        try:
-            results = replay_journal(journal, strict=True)
-        except ReplayMismatch as mismatch:
-            print(f"\nREPLAY FAILED: {mismatch}", file=sys.stderr)
-            return 1
-        print(
-            f"\nreplay: {len(results)} decision(s) re-derived bit-for-bit "
-            "from journaled inputs"
-        )
-    return 0
-
-
-def _cmd_why_dist(args: argparse.Namespace) -> int:
-    """``repro why --shards N``: audit Algorithm 1 on one shard's fragment.
-
-    The reclamation threat hits a single shard (the one holding the most
-    partitioned rows); the adaptive selector deliberates over that
-    shard's *fragment* — its inputs (state bytes, remaining time, threat
-    window) are all shard-local, which is exactly what makes per-shard
-    suspension cheaper than suspending the whole query.  Counterfactuals
-    force each fixed strategy on the same fragment under the same sampled
-    kill.
+    Unsharded, the threat hits the whole query.  With ``--shards N`` it
+    hits one shard (the one holding the most partitioned rows), and
+    Algorithm 1 deliberates over that shard's *fragment*: its inputs
+    (state bytes, remaining time, threat window) are all shard-local,
+    which is what makes per-shard suspension cheaper than suspending the
+    whole query.  Counterfactuals force each fixed strategy on the same
+    plan under the same sampled kill.
     """
     import json as json_mod
 
@@ -650,42 +437,47 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
     from repro.obs.audit import DecisionJournal, ReplayMismatch, replay_journal
     from repro.suspend.store import SnapshotStore
 
+    if args.name not in QUERY_NAMES:
+        print(f"unknown query {args.name}; expected one of {QUERY_NAMES}", file=sys.stderr)
+        return 2
     catalog = _make_catalog(args.scale, args.seed)
     profile = HardwareProfile()
     directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-why-")
     journal = DecisionJournal()
     optimized = _optimize(catalog, build_query(args.name), args.name, args, journal=journal)
-    sharded = partition_catalog(catalog, args.shards, scheme=args.partition_scheme)
-    dist = split_plan(
-        sharded, optimized.plan, pushdown=optimized.flags.pushdown,
-        journal=journal, query_name=args.name,
-    )
     store = SnapshotStore(directory, incremental=args.incremental)
-    coordinator = Coordinator(
-        sharded,
-        profile,
-        morsel_size=args.morsel_size,
+    config = dict(
+        snapshot_dir=directory,
         journal=journal,
         store=store,
-        snapshot_dir=directory,
         select_operators=optimized.flags.selection_vectors,
+        lazy_filters=optimized.flags.selection_vectors,
         backend=args.backend,
         kernels=args.kernels,
+        morsel_size=args.morsel_size,
     )
-    victim = coordinator.pick_victim(ShardSuspension())
-    victim_xid = coordinator.victim_exchange(dist, victim)
-    spec = dist.exchanges[victim_xid]
-    victim_label = f"{args.name}.x{victim_xid}.s{victim}"
+    sharded = args.shards > 1
+    if sharded:
+        shard_catalog = partition_catalog(catalog, args.shards, scheme=args.partition_scheme)
+        dist = split_plan(
+            shard_catalog, optimized.plan, pushdown=optimized.flags.pushdown,
+            journal=journal, query_name=args.name,
+        )
+        coordinator = Coordinator(shard_catalog, profile, **config)
+        victim = coordinator.pick_victim(ShardSuspension())
+        victim_xid = coordinator.victim_exchange(dist, victim)
+        spec = dist.exchanges[victim_xid]
+        runner = coordinator.runners[victim]
+        plan, label = spec.fragment, f"{args.name}.x{victim_xid}.s{victim}"
+    else:
+        runner = QueryRunner(catalog, profile, **config)
+        plan, label = optimized.plan, args.name
 
-    # Journal-less side runner over the victim's shard: calibrates the
-    # fragment's threat-free time and runs the forced counterfactuals so
-    # the main journal records only the adaptive deliberation.
-    side_runner = QueryRunner(
-        sharded.catalog_for(victim), profile, snapshot_dir=directory,
-        select_operators=optimized.flags.selection_vectors,
-        backend=args.backend, kernels=args.kernels, morsel_size=args.morsel_size,
-    )
-    normal = side_runner.measure_normal(spec.fragment, victim_label).stats.duration
+    # Journal-free side runner: calibrates the threat-free time and runs
+    # the forced counterfactuals, so the main journal records only the
+    # adaptive deliberation.
+    side_runner = runner.unobserved()
+    normal = side_runner.measure_normal(plan, label).stats.duration
     termination = TerminationProfile.from_fractions(
         normal, args.window[0], args.window[1], args.probability
     )
@@ -696,9 +488,9 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
 
         termination_seed = derive_seed(args.seed, "termination")
     event = sample_events(termination, 1, seed=termination_seed)[0]
-    estimator = OptimizerSizeEstimator(sharded.catalog_for(victim))
+    estimator = OptimizerSizeEstimator(runner.catalog)
 
-    def selector_factory(runner, fragment, label, normal_time):
+    def selector_factory(_runner, fragment, _label, normal_time):
         return AdaptiveStrategySelector(
             profile=profile,
             termination=termination,
@@ -710,22 +502,24 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
             estimator_label="optimizer",
         )
 
-    result = coordinator.run(
-        dist,
-        args.name,
-        suspend=ShardSuspension(victim=victim, termination_time=event.at_time),
-        selector_factory=selector_factory,
-    )
-    outcome = result.victim_outcome
+    if sharded:
+        result = coordinator.run(
+            dist,
+            args.name,
+            suspend=ShardSuspension(victim=victim, termination_time=event.at_time),
+            selector_factory=selector_factory,
+        )
+        outcome = result.victim_outcome
+    else:
+        selector = selector_factory(runner, plan, label, normal)
+        outcome = runner.run_adaptive(plan, label, selector, normal, event.at_time)
 
     request = termination.t_start
     for strategy in ("redo", "pipeline", "process"):
-        forced = side_runner.run_forced(
-            spec.fragment, victim_label, strategy, normal, event.at_time, request
-        )
+        forced = side_runner.run_forced(plan, label, strategy, normal, event.at_time, request)
         journal.append(
             "counterfactual",
-            victim_label,
+            label,
             forced.busy_time,
             strategy=strategy,
             busy_time=forced.busy_time,
@@ -741,22 +535,9 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
 
     accuracy = estimator_accuracy(journal)
     if args.json:
-        counterfactuals = {
-            r.payload["strategy"]: r.payload for r in journal.by_kind("counterfactual")
-        }
         payload = {
             "query": args.name,
             "scale": args.scale,
-            "shards": result.shards,
-            "scheme": result.scheme,
-            "pushdown": dist.pushdown,
-            "bytes_shuffled": result.bytes_shuffled,
-            "victim": {
-                "shard": victim,
-                "exchange": victim_xid,
-                "base_table": spec.base_table,
-                "label": victim_label,
-            },
             "normal_time": normal,
             "termination": termination.to_json(),
             "termination_at": event.at_time,
@@ -767,24 +548,40 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
                 "suspended": outcome.suspended,
                 "terminated": outcome.terminated,
             },
-            "counterfactuals": counterfactuals,
+            "counterfactuals": {
+                r.payload["strategy"]: r.payload for r in journal.by_kind("counterfactual")
+            },
             "estimator_accuracy": accuracy,
             "journal": [r.to_json() for r in journal.records],
         }
+        if sharded:
+            payload.update(
+                shards=result.shards,
+                scheme=result.scheme,
+                pushdown=dist.pushdown,
+                bytes_shuffled=result.bytes_shuffled,
+                victim={
+                    "shard": victim,
+                    "exchange": victim_xid,
+                    "base_table": spec.base_table,
+                    "label": label,
+                },
+            )
         print(json_mod.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(
-            f"== {args.name}: sharded over {result.shards} shard(s) "
-            f"[{result.scheme}], {len(dist.exchanges)} exchange(s), "
-            f"{result.bytes_shuffled} bytes shuffled =="
-        )
-        print(
-            f"victim           : shard {victim}, fragment x{victim_xid} "
-            f"over {spec.base_table}"
-        )
-        print(format_shard_fragments(result.fragments))
-        print()
-        _print_why_report(victim_label, normal, event, outcome, journal, accuracy)
+        if sharded:
+            print(
+                f"== {args.name}: sharded over {result.shards} shard(s) "
+                f"[{result.scheme}], {len(dist.exchanges)} exchange(s), "
+                f"{result.bytes_shuffled} bytes shuffled =="
+            )
+            print(
+                f"victim           : shard {victim}, fragment x{victim_xid} "
+                f"over {spec.base_table}"
+            )
+            print(format_shard_fragments(result.fragments))
+            print()
+        _print_why_report(label, normal, event, outcome, journal, accuracy)
 
     if args.replay:
         try:
@@ -895,16 +692,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(f"unknown query {args.name}; expected one of {QUERY_NAMES}", file=sys.stderr)
         return 2
     catalog = _make_catalog(args.scale, args.seed)
-    profile = HardwareProfile()
     optimized = _optimize(catalog, build_query(args.name), args.name, args)
 
     metrics = MetricsRegistry()
     tracer = Tracer(metrics=metrics) if args.chrome else None
     profiler = QueryProfiler()
-    _execute(
-        catalog, optimized.plan, args.name, profile, args, tracer, metrics,
-        verbose=False, selection_vectors=optimized.flags.selection_vectors,
-        profiler=profiler,
+    _run(
+        catalog, optimized.plan, args.name, optimized.flags, args,
+        tracer=tracer, metrics=metrics, profiler=profiler,
     )
     payload = profiler.to_json()
 

@@ -36,7 +36,7 @@ from repro.suspend.controller import CompositeController, TerminationController
 from repro.suspend.pipeline_level import PipelineLevelStrategy
 from repro.suspend.process_level import ProcessLevelStrategy
 from repro.suspend.redo import RedoStrategy
-from repro.suspend.store import SnapshotStore
+from repro.suspend.store import SnapshotRecord, SnapshotStore
 from repro.suspend.strategy import SuspensionStrategy
 from repro.storage.catalog import Catalog
 
@@ -63,7 +63,11 @@ def make_strategy(
 
 @dataclass
 class RunOutcome:
-    """Measured outcome of one execution under a termination threat."""
+    """Measured outcome of one execution under a termination threat.
+
+    ``codec``/``raw_bytes`` describe the persisted snapshot and ``record``
+    its entry in the runner's store (when it has one).
+    """
 
     query_name: str
     strategy: str
@@ -78,6 +82,9 @@ class RunOutcome:
     intermediate_bytes: int = 0
     persist_latency: float = 0.0
     reload_latency: float = 0.0
+    codec: str = "raw"
+    raw_bytes: int | None = None
+    record: SnapshotRecord | None = None
     decision: SelectorDecision | None = None
     result: QueryResult | None = None
 
@@ -206,6 +213,8 @@ class QueryRunner:
         backend: str | None = None,
         kernels: str | None = None,
         exchange_inputs: dict | None = None,
+        lazy_filters: bool = True,
+        profiler=None,
     ):
         self.catalog = catalog
         self.profile = profile if profile is not None else HardwareProfile()
@@ -231,9 +240,34 @@ class QueryRunner:
         #: Compile identity projections to zero-cost selects; enable when
         #: running optimizer-rewritten plans (pruning inserts them).
         self.select_operators = select_operators
+        #: Lazy selection-vector filtering (the executor's default).
+        self.lazy_filters = lazy_filters
+        #: Opt-in wall-clock profiler (repro.obs.profile.QueryProfiler)
+        #: attached to every generation of every run.
+        self.profiler = profiler
         #: Gather-exchange inputs for plans containing ShuffleRead leaves
         #: (repro.dist), supplied to every executor this runner builds.
         self.exchange_inputs = exchange_inputs
+
+    def unobserved(self) -> QueryRunner:
+        """This runner's engine configuration without observers, journal or store.
+
+        Calibration runs and counterfactuals use it, so they leave nothing
+        in the trace, metrics, timeline, profile or journal of the run
+        they calibrate.
+        """
+        return QueryRunner(
+            self.catalog,
+            self.profile,
+            snapshot_dir=self.snapshot_dir,
+            morsel_size=self.morsel_size,
+            codec=self.codec,
+            select_operators=self.select_operators,
+            lazy_filters=self.lazy_filters,
+            backend=self.backend,
+            kernels=self.kernels,
+            exchange_inputs=self.exchange_inputs,
+        )
 
     # -- lifecycle ------------------------------------------------------------
     def _begin_lifecycle(self, query_name: str, strategy_name: str) -> QueryLifecycle | None:
@@ -271,14 +305,16 @@ class QueryRunner:
         plan: PlanNode,
         query_name: str,
         strategy_name: str,
-        normal_time: float,
+        normal_time: float | None,
         termination_time: float | None,
-        request_time: float,
+        request_time: float | None,
     ) -> RunOutcome:
         """Fixed strategy; suspension requested at *request_time*.
 
         ``termination_time`` is the sampled kill time (``None`` when the
-        probabilistic termination does not occur).
+        probabilistic termination does not occur).  With neither a request
+        nor a kill the run is uninterrupted; ``normal_time=None`` then
+        makes it its own threat-free baseline.
         """
         strategy = self._strategy(
             strategy_name, self._begin_lifecycle(query_name, strategy_name)
@@ -290,7 +326,7 @@ class QueryRunner:
             busy_time=0.0,
             termination_time=termination_time,
         )
-        request = strategy.make_request_controller(request_time)
+        request = None if request_time is None else strategy.make_request_controller(request_time)
         controllers: list[ExecutionController] = [TerminationController(termination_time)]
         if request is not None:
             controllers.append(request)
@@ -400,6 +436,8 @@ class QueryRunner:
             morsel_size=self.morsel_size,
             tracer=self.tracer,
             metrics=self.metrics,
+            profiler=self.profiler,
+            lazy_filters=self.lazy_filters,
             select_operators=self.select_operators,
             backend=self.backend,
             kernels=self.kernels,
@@ -418,6 +456,8 @@ class QueryRunner:
         """Book an uninterrupted run."""
         outcome.busy_time = generation.end
         outcome.result = generation.result
+        if outcome.normal_time is None:  # the run is its own baseline
+            outcome.normal_time = outcome.busy_time
         if self._lifecycle is not None:
             self._lifecycle.span("run", 0.0, outcome.busy_time)
         return self._record_outcome(outcome)
@@ -468,8 +508,9 @@ class QueryRunner:
                 suspension_failed=outcome.suspension_failed,
                 intermediate_bytes=outcome.intermediate_bytes,
             )
-        if self._lifecycle is not None:
-            self._lifecycle.finish(
+        lifecycle = self._lifecycle
+        if lifecycle is not None:
+            lifecycle.finish(
                 outcome.busy_time,
                 strategy=outcome.strategy,
                 normal_time=outcome.normal_time,
@@ -492,6 +533,7 @@ class QueryRunner:
                     "overhead": outcome.overhead,
                     "suspended": outcome.suspended,
                     "terminated": outcome.terminated,
+                    "trace_id": lifecycle.trace_id,
                 }
             )
         return outcome
@@ -508,7 +550,11 @@ class QueryRunner:
     def _rerun_after_termination(
         self, outcome: RunOutcome, execution: SuspendableExecution, killed_at: float
     ) -> RunOutcome:
-        """Progress lost at *killed_at*; re-run from scratch, threat-free."""
+        """Progress lost at *killed_at*; re-run from scratch, threat-free.
+
+        The re-run's clock starts at *killed_at*, so it follows the lost
+        stretch on one busy timeline.
+        """
         query_name = execution.query_name
         outcome.terminated = True
         if self.journal is not None:
@@ -541,8 +587,8 @@ class QueryRunner:
                 category="termination",
                 suspension_failed=outcome.suspension_failed,
             )
-        rerun = execution.run()
-        outcome.busy_time = killed_at + rerun.end
+        rerun = execution.run(start=killed_at)
+        outcome.busy_time = rerun.end
         outcome.result = rerun.result
         if lifecycle is not None:
             lifecycle.span("rerun", killed_at, outcome.busy_time)
@@ -556,6 +602,11 @@ class QueryRunner:
         capture: ExecutionCapture,
         termination_time: float | None,
     ) -> RunOutcome:
+        """Persist *capture*, reload it and finish in a resumed generation.
+
+        The resumed generation's clock starts once the reload finishes, so
+        the whole run is one contiguous busy timeline.
+        """
         query_name = execution.query_name
         lifecycle = self._lifecycle
         if lifecycle is not None:
@@ -576,6 +627,9 @@ class QueryRunner:
         outcome.suspended_at = persisted.suspended_at
         outcome.intermediate_bytes = persisted.intermediate_bytes
         outcome.persist_latency = persisted.persist_latency
+        outcome.codec = persisted.codec
+        outcome.raw_bytes = persisted.raw_bytes
+        outcome.record = suspension.record
         finish_persist = suspension.finished_at
         if self.journal is not None:
             self.journal.append(
@@ -605,8 +659,8 @@ class QueryRunner:
                 strategy=outcome.strategy,
                 reload_latency=resumed.reload_latency,
             )
-        final = execution.run()
-        outcome.busy_time = resume_start + final.end
+        final = execution.run(start=resume_start)
+        outcome.busy_time = final.end
         outcome.result = final.result
         if lifecycle is not None:
             lifecycle.span("run:resumed", resume_start, outcome.busy_time)

@@ -453,6 +453,7 @@ class Coordinator:
         select_operators: bool = False,
         backend: str | None = None,
         kernels: str | None = None,
+        lazy_filters: bool = True,
     ):
         self.sharded = sharded
         self.profile = profile if profile is not None else HardwareProfile()
@@ -464,6 +465,7 @@ class Coordinator:
         self.store = store
         self.snapshot_dir = snapshot_dir
         self.select_operators = select_operators
+        self.lazy_filters = lazy_filters
         self.backend = backend
         self.kernels = kernels
         self.runners = [
@@ -478,6 +480,7 @@ class Coordinator:
                 journal=journal,
                 store=store,
                 select_operators=select_operators,
+                lazy_filters=lazy_filters,
                 backend=backend,
                 kernels=kernels,
             )
@@ -623,6 +626,7 @@ class Coordinator:
             query_name=query_name,
             tracer=self.tracer,
             metrics=self.metrics,
+            lazy_filters=self.lazy_filters,
             select_operators=self.select_operators,
             backend=self.backend,
             kernels=self.kernels,
@@ -655,8 +659,12 @@ class Coordinator:
         suspend: ShardSuspension,
         selector_factory,
     ) -> RunOutcome:
-        """Run the victim shard's fragment under the reclamation threat."""
-        normal = runner.measure_normal(spec.fragment, label)
+        """Run the victim shard's fragment under the reclamation threat.
+
+        The fragment's normal time is calibrated off the record, so the
+        trace and metrics count the fragment once.
+        """
+        normal = runner.unobserved().measure_normal(spec.fragment, label)
         normal_time = normal.stats.duration
         request_time = suspend.suspend_at * normal_time
         if selector_factory is not None:

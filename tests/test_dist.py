@@ -7,6 +7,8 @@ at every shard count, under both partition schemes, with pushdown on or
 off, and straight through a per-shard suspend→resume cycle.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,26 @@ class TestPerShardSuspension:
         assert not records[0].is_delta
         assert records[1].is_delta and records[1].delta_of == records[0].sequence
 
+    @pytest.mark.parametrize("query", ["Q3", "Q12"])
+    def test_victim_calibration_is_unobserved(self, tpch_tiny, tmp_path, query):
+        """The victim's normal-time calibration leaves no trace or metrics."""
+        metrics = MetricsRegistry()
+        tracer = Tracer(metrics=metrics)
+        result, _, _ = _run_sharded(
+            tpch_tiny,
+            query,
+            2,
+            suspend=ShardSuspension(suspend_at=0.5),
+            tracer=tracer,
+            metrics=metrics,
+            snapshot_dir=tmp_path,
+        )
+        assert result.victim_outcome is not None
+        assert metrics.counter("queries_total").value == len(result.fragments) + 1
+        spans = [e.name for e in tracer.by_category("query") if e.phase == "X"]
+        for fragment in result.fragments:
+            assert spans.count(fragment.label) == 1
+
     def test_explicit_victim_and_range_checks(self, tpch_tiny, tmp_path):
         result, _, _ = _run_sharded(
             tpch_tiny,
@@ -284,14 +306,28 @@ class TestDistCli:
         output = capsys.readouterr().out
         assert "reclaimed" in output and "per-shard fragments" in output
 
-    def test_why_with_shards(self, capsys, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_why_with_shards(self, capsys, tmp_path, shards):
         from repro.__main__ import main
 
         code = main([
-            "why", "Q12", "--scale", "0.002", "--shards", "2",
-            "--snapshot-dir", str(tmp_path), "--replay",
+            "why", "Q12", "--scale", "0.002", "--shards", str(shards),
+            "--snapshot-dir", str(tmp_path), "--json", "--replay",
         ])
         assert code == 0
-        output = capsys.readouterr().out
-        assert "sharded over 2 shard(s)" in output
-        assert "victim" in output
+        report, replay = capsys.readouterr().out.split("\nreplay: ")
+        payload = json.loads(report)
+        assert "re-derived bit-for-bit" in replay
+        assert set(payload["counterfactuals"]) == {"redo", "pipeline", "process"}
+        if shards == 1:
+            assert "victim" not in payload
+            label = "Q12"
+        else:
+            assert payload["shards"] == 2
+            label = payload["victim"]["label"]
+            assert label.startswith("Q12.x")
+        audited = {
+            r["query"] for r in payload["journal"]
+            if r["kind"] in ("outcome", "counterfactual")
+        }
+        assert audited == {label}

@@ -8,6 +8,7 @@ from repro.cloud.runner import QueryRunner, make_strategy
 from repro.costmodel.selector import AdaptiveStrategySelector
 from repro.costmodel.termination import TerminationProfile
 from repro.engine.profile import HardwareProfile
+from repro.obs.trace import Tracer
 from repro.tpch import build_query
 
 from tests.conftest import assert_chunks_equal
@@ -144,6 +145,91 @@ class TestAdaptive:
         )
         assert not outcome.terminated
         assert outcome.result is not None
+
+
+#: Trace categories the executor emits for one generation's work
+EXECUTOR_CATEGORIES = ("query", "pipeline", "morsel", "breaker")
+
+
+def second_generation_events(tracer, query_name):
+    """Executor events of the generation that resumed or re-ran the query."""
+    events = tracer.events
+    starts = [
+        index for index, event in enumerate(events)
+        if event.category == "query" and event.name == f"start:{query_name}"
+    ]
+    assert len(starts) == 2, "expected exactly one resumed or re-run generation"
+    return [e for e in events[starts[1]:] if e.category in EXECUTOR_CATEGORIES]
+
+
+class TestBusyTimeline:
+    """Resumed and re-run generations start where the busy timeline is."""
+
+    @pytest.fixture()
+    def traced(self, tpch_tiny, tmp_path):
+        return QueryRunner(
+            tpch_tiny, HardwareProfile(), snapshot_dir=tmp_path, tracer=Tracer()
+        )
+
+    @staticmethod
+    def boundary(outcome):
+        if outcome.terminated:
+            return outcome.termination_time
+        return outcome.suspended_at + outcome.persist_latency + outcome.reload_latency
+
+    def assert_on_timeline(self, runner, outcome, query_name="Q3"):
+        start = self.boundary(outcome)
+        events = second_generation_events(runner.tracer, query_name)
+        assert events
+        assert min(event.ts for event in events) >= start
+        assert outcome.busy_time == pytest.approx(
+            max(event.ts + event.dur for event in events)
+        )
+
+    @pytest.mark.parametrize("strategy", ["pipeline", "process"])
+    def test_resumed_generation(self, traced, q3_normal, strategy):
+        normal_time = q3_normal.stats.duration
+        outcome = traced.run_forced(
+            build_query("Q3"), "Q3", strategy, normal_time, None, normal_time * 0.5
+        )
+        assert outcome.suspended and not outcome.terminated
+        self.assert_on_timeline(traced, outcome)
+        assert_chunks_equal(q3_normal.chunk, outcome.result.chunk)
+
+    @pytest.mark.parametrize("strategy", ["pipeline", "process"])
+    def test_rerun_after_kill_during_persist(self, runner, traced, q3_normal, strategy):
+        normal_time = q3_normal.stats.duration
+        clean = runner.run_forced(
+            build_query("Q3"), "Q3", strategy, normal_time, None, normal_time * 0.5
+        )
+        kill = clean.suspended_at + clean.persist_latency / 2
+        outcome = traced.run_forced(
+            build_query("Q3"), "Q3", strategy, normal_time, kill, normal_time * 0.5
+        )
+        assert outcome.suspension_failed and outcome.terminated
+        self.assert_on_timeline(traced, outcome)
+        assert_chunks_equal(q3_normal.chunk, outcome.result.chunk)
+
+    def test_adaptive_resumed_generation(self, traced, q3_normal):
+        normal_time = q3_normal.stats.duration
+        selector = AdaptiveStrategySelector(
+            profile=HardwareProfile(),
+            termination=TerminationProfile.from_fractions(normal_time, 0.25, 0.5, 1.0),
+            process_size_estimator=lambda f: 1e5 * f,
+            estimated_total_time=normal_time,
+        )
+        outcome = traced.run_adaptive(
+            build_query("Q3"), "Q3", selector, normal_time, normal_time * 0.45
+        )
+        assert outcome.suspended or outcome.terminated
+        self.assert_on_timeline(traced, outcome)
+        assert_chunks_equal(q3_normal.chunk, outcome.result.chunk)
+
+    def test_uninterrupted_run_is_its_own_baseline(self, traced, q3_normal):
+        outcome = traced.run_forced(build_query("Q3"), "Q3", "pipeline", None, None, None)
+        assert not outcome.suspended and not outcome.terminated
+        assert outcome.busy_time == q3_normal.stats.duration
+        assert outcome.overhead == 0.0
 
 
 class TestMultiSuspension:

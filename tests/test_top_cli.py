@@ -1,5 +1,7 @@
 """Top-level ``python -m repro`` CLI."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -74,6 +76,19 @@ class TestQueryCommand:
         summary = validate_chrome_trace_file(path)
         for category in ("query", "pipeline", "persist", "resume"):
             assert summary["categories"].get(category, 0) >= 1
+        # The resumed generation starts once the reload has finished.
+        events = json.loads(path.read_text())["traceEvents"]
+        reload_end = max(
+            e["ts"] + e["dur"] for e in events if e["name"].startswith("reload:")
+        )
+        starts = [i for i, e in enumerate(events) if e["name"] == "start:Q3"]
+        assert len(starts) == 2
+        resumed = [
+            e for e in events[starts[1]:]
+            if e.get("cat") in ("query", "pipeline", "morsel", "breaker")
+        ]
+        assert resumed
+        assert min(e["ts"] for e in resumed) >= reload_end - 1e-6
 
 
 class TestTraceCommand:
@@ -124,12 +139,41 @@ class TestMasterSeed:
         assert capsys.readouterr().out == seeded
         assert "row(s)" in legacy
 
-    def test_why_accepts_master_seed(self, capsys):
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_why_accepts_master_seed(self, capsys, shards):
         code = main([
             "why", "Q6", "--scale", "0.002", "--seed", "3", "--json",
+            "--replay", "--shards", shards,
         ])
         assert code == 0
-        assert '"query": "Q6"' in capsys.readouterr().out
+        report, replay = capsys.readouterr().out.split("\nreplay: ")
+        assert json.loads(report)["query"] == "Q6"
+        assert "re-derived bit-for-bit" in replay
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["why", "Q12"],
+        ["why", "Q12", "--shards", "2"],
+        ["query", "--name", "Q12", "--shards", "2", "--suspend-at", "0.5"],
+    ],
+    ids=["why", "why-sharded", "query-sharded"],
+)
+def test_no_selvec_disables_lazy_filters(monkeypatch, capsys, argv):
+    """``--no-selvec`` reaches every pipeline a command builds."""
+    from repro.engine import executor
+
+    seen = []
+    build = executor.build_pipelines
+
+    def recording(*args, **kwargs):
+        seen.append((kwargs["lazy_filters"], kwargs["select_operators"]))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "build_pipelines", recording)
+    assert main(argv + ["--scale", "0.002", "--no-selvec"]) == 0
+    assert seen and set(seen) == {(False, False)}
 
 
 class TestFleetCommand:
