@@ -604,8 +604,12 @@ class QueryExecutor:
         breaker_started = self.clock.now()
         # Wall-clock the coordinator-side breaker (combine + finalize):
         # for sort/aggregate sinks this is where the real work happens,
-        # and no worker-side morsel timer sees it.
-        breaker_wall_started = time.perf_counter() if self.profiler is not None else 0.0
+        # and no worker-side morsel timer sees it.  The kernel recorder
+        # brackets it too, so its kernel calls land on the breaker.
+        breaker_wall_started = 0.0
+        if self.profiler is not None:
+            self.profiler.kernel_recorder.begin()
+            breaker_wall_started = time.perf_counter()
         global_state = sink.make_global_state()
         for local_state in run.local_states:
             sink.combine(global_state, local_state)
@@ -617,7 +621,11 @@ class QueryExecutor:
         )
         self.clock.advance(finalize_cost)
         if self.profiler is not None:
-            self.profiler.record_breaker(run, time.perf_counter() - breaker_wall_started)
+            self.profiler.record_breaker(
+                run,
+                time.perf_counter() - breaker_wall_started,
+                self.profiler.kernel_recorder.take(),
+            )
         sink_stats = run.stats.operators[-1]
         sink_stats.seconds += merge_cost + finalize_cost
         sink_stats.bytes = global_state.nbytes

@@ -27,6 +27,21 @@ set of carefully matched invariants:
   value-independent result dtype (see :mod:`repro.engine.expressions`),
   so concatenating per-row evaluations equals the full-vector result.
 
+The numpy set's dense-key fast paths keep these invariants exactly:
+
+* grouping on integer codes (:func:`repro.engine.keys.group_rows`) ranks
+  each column by the big-endian unsigned reading of its raw bytes, which
+  is ``memcmp`` order (``-0.0``/``0.0`` and NaN payloads stay distinct),
+  and combines the ranks mixed-radix so numeric order is the packed
+  key's byte order; representatives are first occurrences;
+* the direct-address probe (:class:`ProbeIndex`) returns, for every
+  code, the ``searchsorted`` left/right edges: codes below the build
+  clip to a slot answering ``(0, 0)``, codes above it to one answering
+  ``(len, len)``; the table is derived from ``codes_sorted`` alone and
+  never reaches a snapshot, ``nbytes`` or the virtual clock;
+* when every match count is at most one, ``flatnonzero(counts)`` is
+  already the probe-major expansion.
+
 The vectorized kernels cover every input the engine produces; the numpy
 set still checks each call and *falls back to the scalar kernel per
 chunk* for inputs the vector path cannot take (e.g. per-group min/max
@@ -50,11 +65,17 @@ import bisect
 import numpy as np
 
 from repro.engine.errors import EngineError
-from repro.engine.keys import combine_int_keys, group_rows
+from repro.engine.keys import (
+    combine_int_keys,
+    dense_domain,
+    group_rows,
+    normalize_key_columns,
+)
 
 __all__ = [
     "KernelSet",
     "NumpyKernels",
+    "ProbeIndex",
     "ScalarKernels",
     "KERNEL_NAMES",
     "get_kernels",
@@ -106,9 +127,16 @@ class KernelSet:
         raise NotImplementedError
 
     def probe_ranges(
-        self, codes_sorted: np.ndarray, probe_codes: np.ndarray
+        self,
+        codes_sorted: np.ndarray,
+        probe_codes: np.ndarray,
+        index: ProbeIndex | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-probe-row ``[left, right)`` match range in the sorted codes."""
+        """Per-probe-row ``[left, right)`` match range in the sorted codes.
+
+        *index* is the build's derived :class:`ProbeIndex`; a kernel set
+        may use it to answer without searching, never to change the answer.
+        """
         raise NotImplementedError
 
     def expand_matches(
@@ -162,7 +190,14 @@ class NumpyKernels(KernelSet):
         order = np.argsort(codes, kind="stable").astype(np.int64)
         return codes[order], order
 
-    def probe_ranges(self, codes_sorted, probe_codes):
+    def probe_ranges(self, codes_sorted, probe_codes, index=None):
+        table = None if index is None else index.lookup(codes_sorted, len(probe_codes))
+        if table is not None:
+            # Codes outside the build range clip to the sentinel slots
+            # either side of it, whose ranges are empty at 0 and at len.
+            slots = np.clip(probe_codes, index.base, index.base + len(table) - 2)
+            slots -= index.base
+            return table[slots], table[slots + 1]
         left = np.searchsorted(codes_sorted, probe_codes, side="left").astype(np.int64)
         right = np.searchsorted(codes_sorted, probe_codes, side="right").astype(np.int64)
         return left, right
@@ -172,6 +207,9 @@ class NumpyKernels(KernelSet):
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
+        if _at_most_one_match(counts):
+            probe_idx = np.flatnonzero(counts)
+            return probe_idx, order[left[probe_idx]]
         probe_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         starts = np.repeat(left.astype(np.int64), counts)
         run_starts = np.repeat(np.cumsum(counts) - counts, counts)
@@ -253,7 +291,7 @@ class ScalarKernels(KernelSet):
         )
         return codes[order], order
 
-    def probe_ranges(self, codes_sorted, probe_codes):
+    def probe_ranges(self, codes_sorted, probe_codes, index=None):
         haystack = codes_sorted.tolist()
         count = len(probe_codes)
         left = np.fromiter(
@@ -285,34 +323,78 @@ class ScalarKernels(KernelSet):
 def _row_keys(arrays: list[np.ndarray]) -> list[bytes]:
     """Per-row packed key bytes, matching :func:`repro.engine.keys.pack_rows`.
 
-    Columns are normalized exactly like ``pack_rows`` (objects to their
-    common string width, floats to float64, ints to int64, bools to
-    uint8) and each row key is the concatenation of the columns' raw
-    little-endian bytes — so equality and lexicographic order match the
-    packed void keys bit for bit.
+    Each row key is the concatenation of the normalized columns' raw
+    bytes, so equality and lexicographic order match the packed void keys
+    bit for bit.
     """
-    if not arrays:
-        raise ValueError("need at least one key column")
-    length = len(arrays[0])
-    normalized = []
-    for array in arrays:
-        if len(array) != length:
-            raise ValueError("key columns must have equal length")
-        if array.dtype.kind == "O":
-            array = array.astype(str)
-        if array.dtype.kind == "f":
-            array = np.ascontiguousarray(array, dtype=np.float64)
-        elif array.dtype.kind in "iu":
-            array = np.ascontiguousarray(array, dtype=np.int64)
-        elif array.dtype.kind == "b":
-            array = np.ascontiguousarray(array, dtype=np.uint8)
-        else:
-            array = np.ascontiguousarray(array)
-        normalized.append(array)
+    normalized = normalize_key_columns(arrays)
     return [
         b"".join(column[row : row + 1].tobytes() for column in normalized)
-        for row in range(length)
+        for row in range(len(normalized[0]))
     ]
+
+
+def _at_most_one_match(counts: np.ndarray) -> bool:
+    """Whether no probe row matches more than one build row."""
+    return int(counts.max()) <= 1
+
+
+class ProbeIndex:
+    """Direct-address offset table over one build's sorted join codes.
+
+    Derived state: owned by the build's global state, built from
+    ``codes_sorted`` alone, never serialized and never counted in its
+    ``nbytes``, so snapshots, memory accounting and the virtual clock
+    cannot see it.  The table has one slot per code in ``[lo - 1,
+    hi + 1]`` and answers a probe with two gathers instead of two binary
+    searches.  It exists only for dense builds (see
+    :func:`repro.engine.keys.dense_domain`) and is built lazily, once the
+    rows probed against the build reach the table's size: a large build
+    probed by a few small chunks never pays for it.
+    """
+
+    __slots__ = ("span", "probed_rows", "base", "table")
+
+    def __init__(self) -> None:
+        self.span: int | None = None
+        self.probed_rows = 0
+        self.base = 0
+        self.table: np.ndarray | None = None
+
+    def lookup(self, codes_sorted: np.ndarray, rows: int) -> np.ndarray | None:
+        """The offset table, once built; counts *rows* toward building it.
+
+        ``table[s]`` is the ``searchsorted`` left edge of code
+        ``base + s`` and ``table[s + 1]`` its right edge.
+        """
+        if self.table is not None:
+            return self.table
+        if self.span is None:
+            self.span = _dense_span(codes_sorted)
+        if not self.span:
+            return None
+        self.probed_rows += rows
+        if self.probed_rows < self.span:
+            return None
+        low = int(codes_sorted[0])
+        counts = np.bincount(codes_sorted - low, minlength=self.span)
+        self.base = low - 1
+        self.table = np.concatenate(
+            ([0, 0], np.cumsum(counts), [len(codes_sorted)])
+        ).astype(np.int64)
+        return self.table
+
+
+def _dense_span(codes_sorted: np.ndarray) -> int:
+    """Code span of a build if it is dense enough to direct-address, else 0."""
+    if len(codes_sorted) == 0:
+        return 0
+    low, high = int(codes_sorted[0]), int(codes_sorted[-1])
+    span = high - low + 1
+    info = np.iinfo(np.int64)
+    if low <= info.min or high >= info.max or not dense_domain(span, len(codes_sorted)):
+        return 0
+    return span
 
 
 _KERNEL_SETS: dict[str, KernelSet] = {

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.engine.chunk import DataChunk, concat_chunks, record_materialization
 from repro.engine.expressions import Expression
-from repro.engine.kernels import get_kernels
+from repro.engine.kernels import ProbeIndex, get_kernels
 from repro.engine.operators.base import (
     ChunkListLocalState,
     GlobalSinkState,
@@ -45,7 +45,11 @@ class JoinType(enum.Enum):
 
 
 class JoinBuildGlobalState(GlobalSinkState):
-    """Merged build side: sorted key codes + payload rows."""
+    """Merged build side: sorted key codes + payload rows.
+
+    ``probe_index`` is derived from ``codes_sorted`` by the probe kernel;
+    it is neither serialized nor counted in ``nbytes``.
+    """
 
     def __init__(self) -> None:
         self.pending: list[DataChunk] = []
@@ -53,6 +57,7 @@ class JoinBuildGlobalState(GlobalSinkState):
         self.order: np.ndarray | None = None
         self.payload: DataChunk | None = None
         self.finalized = False
+        self.probe_index = ProbeIndex()
 
     @property
     def nbytes(self) -> int:
@@ -201,7 +206,9 @@ class HashJoinProbeOperator(StreamingOperator):
         probe_codes = kernels.join_codes(
             [chunk.column(name) for name in self.probe_keys]
         )
-        left, right = kernels.probe_ranges(build.codes_sorted, probe_codes)
+        left, right = kernels.probe_ranges(
+            build.codes_sorted, probe_codes, build.probe_index
+        )
         counts = (right - left).astype(np.int64)
 
         if self.join_type in (JoinType.SEMI, JoinType.ANTI) and self.residual is None:

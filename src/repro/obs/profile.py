@@ -106,9 +106,9 @@ class KernelRecorder:
 
     The executor sets ``slot`` before running each operator; the
     :class:`ProfilingKernels` wrapper adds its measured call durations
-    under that slot.  ``begin``/``take`` bracket one morsel, so kernel
-    calls outside a morsel (e.g. inside a sink's ``finalize``) are
-    discarded rather than misattributed.
+    under that slot.  ``begin``/``take`` bracket one morsel or one
+    pipeline breaker (combine + finalize), so kernel calls outside both
+    are discarded rather than misattributed.
     """
 
     __slots__ = ("slot", "_wall")
@@ -193,10 +193,10 @@ class ProfilingKernels(KernelSet):
         finally:
             self._recorder.add("build_order", time.perf_counter() - started)
 
-    def probe_ranges(self, codes_sorted, probe_codes):
+    def probe_ranges(self, codes_sorted, probe_codes, index=None):
         started = time.perf_counter()
         try:
-            return self._inner.probe_ranges(codes_sorted, probe_codes)
+            return self._inner.probe_ranges(codes_sorted, probe_codes, index)
         finally:
             self._recorder.add("probe_ranges", time.perf_counter() - started)
 
@@ -330,6 +330,7 @@ class _OperatorProfile:
         "breaker_wall_seconds",
         "morsels",
         "kernels",
+        "breaker_kernels",
         "virtual_seconds",
         "rows",
     )
@@ -343,6 +344,7 @@ class _OperatorProfile:
         self.breaker_wall_seconds = 0.0
         self.morsels = 0
         self.kernels: dict[str, float] = {}
+        self.breaker_kernels: dict[str, float] = {}
         self.virtual_seconds = 0.0
         self.rows = 0
 
@@ -357,10 +359,13 @@ class _OperatorProfile:
             "breaker_wall_seconds": round(self.breaker_wall_seconds, 6),
             "virtual_seconds": round(self.virtual_seconds, 6),
             "rows": self.rows,
-            "kernels": {
-                method: round(self.kernels[method], 6) for method in sorted(self.kernels)
-            },
+            "kernels": _rounded(self.kernels),
+            "breaker_kernels": _rounded(self.breaker_kernels),
         }
+
+
+def _rounded(kernels: dict[str, float]) -> dict[str, float]:
+    return {method: round(kernels[method], 6) for method in sorted(kernels)}
 
 
 class QueryProfiler:
@@ -441,11 +446,19 @@ class QueryProfiler:
             profile, self._t0, pipeline_id
         )
 
-    def record_breaker(self, run, seconds: float) -> None:
-        """Coordinator-side combine+finalize wall time, on the sink slot."""
+    def record_breaker(self, run, seconds: float, kernel_wall: dict) -> None:
+        """Coordinator-side combine+finalize wall time, on the sink slot.
+
+        *kernel_wall* is the kernel recorder's take over the breaker;
+        its ``(slot, method)`` keys fold by method into ``breaker_kernels``.
+        """
         ops = run.stats.operators
         entry = self._operator(run.pipeline.pipeline_id, len(ops) - 1, ops[-1])
         entry.breaker_wall_seconds += max(0.0, seconds)
+        for (_, method), kernel_seconds in kernel_wall.items():
+            entry.breaker_kernels[method] = (
+                entry.breaker_kernels.get(method, 0.0) + kernel_seconds
+            )
 
     def finish(self, stats, metrics: MetricsRegistry | None = None) -> None:
         """Stamp the total wall time and attach virtual attribution."""
@@ -517,7 +530,9 @@ class QueryProfiler:
 
         One ``frame;frame;... <microseconds>`` line per leaf: operator
         self-time (wall minus attributed kernel time), each kernel
-        method, and the coordinator-side breaker under the sink frame.
+        method, and under the sink frame the coordinator-side breaker's
+        self-time and each kernel method it called
+        (``...;breaker;kernel:<method>``).
         Values are clamped to >= 1 microsecond so no measured leaf
         disappears from the flamegraph.
         """
@@ -537,8 +552,13 @@ class QueryProfiler:
                 seconds = op.kernels[method]
                 if seconds > 0.0:
                     lines.append(f"{frame};kernel:{method} {micros(seconds)}")
-            if op.breaker_wall_seconds > 0.0:
-                lines.append(f"{frame};breaker {micros(op.breaker_wall_seconds)}")
+            breaker_self = op.breaker_wall_seconds - sum(op.breaker_kernels.values())
+            if breaker_self > 0.0:
+                lines.append(f"{frame};breaker {micros(breaker_self)}")
+            for method in sorted(op.breaker_kernels):
+                seconds = op.breaker_kernels[method]
+                if seconds > 0.0:
+                    lines.append(f"{frame};breaker;kernel:{method} {micros(seconds)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -589,8 +609,15 @@ def validate_profile(payload: dict) -> dict:
             value = op.get(key)
             if not isinstance(value, (int, float)) or value < 0:
                 raise ValueError(f"{where}: {key} must be a non-negative number")
-        if not isinstance(op.get("kernels"), dict):
-            raise ValueError(f"{where}: kernels must be an object")
+        for key in ("kernels", "breaker_kernels"):
+            kernels = op.get(key)
+            if not isinstance(kernels, dict):
+                raise ValueError(f"{where}: {key} must be an object")
+            for method, value in kernels.items():
+                if not isinstance(value, (int, float)) or value < 0:
+                    raise ValueError(
+                        f"{where}: {key}.{method} must be a non-negative number"
+                    )
     workers = payload["workers"]
     if not isinstance(workers, list):
         raise ValueError("'workers' must be a list")

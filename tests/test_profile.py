@@ -176,6 +176,22 @@ def test_profile_cli_report(tmp_path, capsys):
         assert re.fullmatch(r"\S+ \d+", line), line
 
 
+@pytest.mark.parametrize(
+    "query, sink, method",
+    [("Q1", "aggregate", "group_rows"), ("Q9", "join_build", "build_order")],
+)
+def test_breaker_kernel_calls_are_recorded(tpch_tiny, query, sink, method):
+    """Kernel calls in combine/finalize land on the sink's breaker."""
+    profiler = QueryProfiler()
+    run_query(tpch_tiny, query, "simulated", profiler=profiler)
+    envelope = profiler.to_json()
+    validate_profile(envelope)
+    sinks = [op for op in envelope["operators"] if op["kind"] == sink]
+    assert any(method in op["breaker_kernels"] for op in sinks)
+    stacks = profiler.collapsed_stacks()
+    assert f";breaker;kernel:{method} " in stacks
+
+
 # -- unit: merge math on stub runs -------------------------------------------
 
 
@@ -224,8 +240,18 @@ class TestMergeMath:
         profiler = QueryProfiler()
         run = make_run()
         profiler.record_morsel(run, make_morsel())
-        profiler.record_breaker(run, 0.7)
+        profiler.record_breaker(run, 0.7, {})
         assert profiler.operators[(0, 2)].breaker_wall_seconds == pytest.approx(0.7)
+
+    def test_breaker_kernels_fold_by_method(self):
+        profiler = QueryProfiler()
+        run = make_run()
+        kernel_wall = {(0, "group_rows"): 0.1, (3, "group_rows"): 0.05, (0, "grouped_sum"): 0.2}
+        profiler.record_breaker(run, 0.5, kernel_wall)
+        entry = profiler.operators[(0, 2)]
+        assert entry.breaker_kernels["group_rows"] == pytest.approx(0.15)
+        assert entry.breaker_kernels["grouped_sum"] == pytest.approx(0.2)
+        assert entry.kernels == {}
 
     def test_worker_phases_and_utilization(self):
         profiler = QueryProfiler()
@@ -289,7 +315,7 @@ class TestExports:
         profiler.record_morsel(
             run, make_morsel(kernel_wall={(1, "evaluate"): 0.05})
         )
-        profiler.record_breaker(run, 0.1)
+        profiler.record_breaker(run, 0.1, {(0, "group_rows"): 0.04})
         return profiler
 
     def test_collapsed_stacks_format(self, tmp_path):
@@ -302,6 +328,7 @@ class TestExports:
             assert re.fullmatch(r"\S+ \d+", line), line
         assert any(";kernel:evaluate " in line for line in lines)
         assert any(";breaker " in line for line in lines)
+        assert any(";breaker;kernel:group_rows " in line for line in lines)
         path = tmp_path / "stacks.txt"
         assert write_collapsed_stacks(profiler, path) == len(lines)
 
@@ -320,6 +347,14 @@ class TestExports:
         payload = self._profiler().to_json()
         del payload["phases"]
         with pytest.raises(ValueError, match="phases"):
+            validate_profile(payload)
+        payload = self._profiler().to_json()
+        del payload["operators"][0]["breaker_kernels"]
+        with pytest.raises(ValueError, match="breaker_kernels"):
+            validate_profile(payload)
+        payload = self._profiler().to_json()
+        payload["operators"][2]["breaker_kernels"]["group_rows"] = -1.0
+        with pytest.raises(ValueError, match="breaker_kernels.group_rows"):
             validate_profile(payload)
         payload = self._profiler().to_json()
         payload["workers"][0]["utilization"]["busy"] = 2.0
