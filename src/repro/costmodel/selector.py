@@ -22,7 +22,6 @@ from repro.engine.profile import HardwareProfile
 from repro.obs.audit import DecisionJournal, cost_to_json, time_key
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.storage import codec as codec_mod
 
 __all__ = ["SelectorDecision", "AdaptiveStrategySelector"]
 
@@ -87,17 +86,13 @@ class AdaptiveStrategySelector:
         started = time.perf_counter()
         # Determining S^ppl requires serializing the live global states —
         # the dominant cost-model step for queries with large states
-        # (Table V, Q17).
-        live = context.executor.live_states()
-        if self.codec != "raw":
-            # Measure what the codec would actually persist: Algorithm 1's
-            # S^ppl input shrinks with the encoded bytes, moving break-evens.
-            state_bytes = 0
-            for state in live.values():
-                with codec_mod.encoding(self.codec):
-                    state_bytes += len(state.serialize())
-        else:
-            state_bytes = sum(len(state.serialize()) for state in live.values())
+        # (Table V, Q17).  It measures what the codec would actually
+        # persist, so S^ppl shrinks with the encoded bytes; each finalized
+        # state is encoded once and reused by later decisions and the persist.
+        state_bytes = sum(
+            len(state.encoded(self.codec)[0])
+            for state in context.executor.live_states().values()
+        )
         if not context.at_breaker and context.morsel_count:
             # A pipeline-level suspension planned from here fires at the
             # next breaker, where the in-flight pipeline's state has become

@@ -18,6 +18,7 @@ import io
 
 from repro.engine.chunk import DataChunk
 from repro.engine.types import DataType, Schema
+from repro.storage import codec as codec_mod
 from repro.storage import serialize
 
 __all__ = [
@@ -129,6 +130,8 @@ class GlobalSinkState:
     """Merged pipeline result; serializable for pipeline-level snapshots."""
 
     finalized: bool = False
+    #: codec name -> memoized ``(blob, stats)``; see :meth:`encoded`
+    _encodings: dict | None = None
 
     @property
     def nbytes(self) -> int:
@@ -136,6 +139,26 @@ class GlobalSinkState:
 
     def serialize(self) -> bytes:
         raise NotImplementedError
+
+    def encoded(self, codec_name: str) -> tuple[bytes, codec_mod.CodecStats]:
+        """:meth:`serialize` under *codec_name*, with its byte accounting.
+
+        A finalized state never changes (``serialize`` refuses unfinalized
+        ones), so the first non-raw encoding is memoized: Algorithm 1's
+        S^ppl measurement at every decision and the persist share it.  Raw
+        is a memcpy and is not retained; a copy would only double the
+        state's footprint.  Fold the returned stats in with
+        :meth:`CodecStats.merge`; they belong to the memo.
+        """
+        cached = (self._encodings or {}).get(codec_name)
+        if cached is not None:
+            return cached
+        stats = codec_mod.CodecStats()
+        with codec_mod.encoding(codec_name, stats):
+            blob = self.serialize()
+        if codec_name != "raw":
+            self._encodings = {**(self._encodings or {}), codec_name: (blob, stats)}
+        return blob, stats
 
 
 class Sink:

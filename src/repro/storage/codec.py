@@ -133,17 +133,20 @@ class CodecStats:
     decoded_encoded_bytes: int = 0
     per_codec: dict = field(default_factory=dict)
 
+    #: The counters, named alike on the session and in each codec bucket.
+    COUNTS = (
+        "arrays",
+        "raw_bytes",
+        "encoded_bytes",
+        "decoded_arrays",
+        "decoded_raw_bytes",
+        "decoded_encoded_bytes",
+    )
+
     def _bucket(self, codec_name: str) -> dict:
         bucket = self.per_codec.get(codec_name)
         if bucket is None:
-            bucket = self.per_codec[codec_name] = {
-                "arrays": 0,
-                "raw_bytes": 0,
-                "encoded_bytes": 0,
-                "decoded_arrays": 0,
-                "decoded_raw_bytes": 0,
-                "decoded_encoded_bytes": 0,
-            }
+            bucket = self.per_codec[codec_name] = dict.fromkeys(self.COUNTS, 0)
         return bucket
 
     def record_encode(self, codec_name: str, raw: int, encoded: int) -> None:
@@ -163,6 +166,15 @@ class CodecStats:
         bucket["decoded_arrays"] += 1
         bucket["decoded_raw_bytes"] += raw
         bucket["decoded_encoded_bytes"] += encoded
+
+    def merge(self, other: "CodecStats") -> None:
+        """Fold *other*'s encode and decode accounting into this session."""
+        for key in self.COUNTS:
+            setattr(self, key, getattr(self, key) + getattr(other, key))
+        for name, counts in other.per_codec.items():
+            bucket = self._bucket(name)
+            for key, value in counts.items():
+                bucket[key] += value
 
     @property
     def saved_bytes(self) -> int:
@@ -228,7 +240,7 @@ def _payload_view(contiguous: np.ndarray) -> memoryview:
 
 
 def _encode_zlib(contiguous: np.ndarray) -> bytes:
-    return zlib.compress(bytes(_payload_view(contiguous)), 6)
+    return zlib.compress(_payload_view(contiguous), 6)
 
 
 def _decode_zlib(payload: bytes, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
@@ -365,21 +377,27 @@ def _build_frame(codec_name: str, contiguous: np.ndarray, payload: bytes) -> byt
     return b"".join(parts)
 
 
-def _pick_adaptive(contiguous: np.ndarray) -> str | None:
-    """Sample-based compressibility probe; ``None`` means stay raw."""
+def _pick_adaptive(contiguous: np.ndarray) -> tuple[str | None, bytes | None]:
+    """Sample-based compressibility probe: ``(codec, payload)``.
+
+    The codec is ``None`` when the array should stay raw.  The payload is
+    the winner's encoding of the whole array when the probe sample *was*
+    the whole array (so the caller need not encode it again), else ``None``.
+    """
     sample = contiguous
     if contiguous.ndim == 1 and contiguous.shape[0] > _PROBE_ELEMENTS:
         sample = contiguous[:_PROBE_ELEMENTS]
     sample_bytes = max(1, sample.nbytes)
-    best_name, best_ratio = None, _ADAPTIVE_THRESHOLD
+    best_name, best_ratio, best_payload = None, _ADAPTIVE_THRESHOLD, None
     for name in _applicable_codecs(contiguous):
         try:
-            ratio = len(_ENCODERS[name](sample)) / sample_bytes
+            payload = _ENCODERS[name](sample)
         except Exception:
             continue
+        ratio = len(payload) / sample_bytes
         if ratio < best_ratio:
-            best_name, best_ratio = name, ratio
-    return best_name
+            best_name, best_ratio, best_payload = name, ratio, payload
+    return best_name, best_payload if sample is contiguous else None
 
 
 def maybe_encode_frame(contiguous: np.ndarray) -> bytes | None:
@@ -398,13 +416,15 @@ def maybe_encode_frame(contiguous: np.ndarray) -> bytes | None:
             stats.record_encode("raw", raw_nbytes, raw_nbytes)
         return None
     chosen: str | None
+    payload: bytes | None = None
     if codec_name == "adaptive":
-        chosen = _pick_adaptive(contiguous)
+        chosen, payload = _pick_adaptive(contiguous)
     else:
         chosen = codec_name if codec_name in _applicable_codecs(contiguous) else None
     frame: bytes | None = None
     if chosen is not None:
-        payload = _ENCODERS[chosen](contiguous)
+        if payload is None:
+            payload = _ENCODERS[chosen](contiguous)
         # Hard guarantee: an encoded record is never larger than the raw one.
         if len(payload) + _frame_overhead(chosen, contiguous) < _legacy_record_size(contiguous):
             frame = _build_frame(chosen, contiguous, payload)

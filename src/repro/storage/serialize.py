@@ -84,7 +84,8 @@ def write_array(stream: BinaryIO, array: np.ndarray) -> int:
         written += _I64.size
     stream.write(_U64.pack(contiguous.nbytes))
     # memoryview avoids the tobytes() copy; the stream consumes it directly.
-    stream.write(memoryview(contiguous) if contiguous.ndim == 0 else memoryview(contiguous).cast("B"))
+    # The flat view also covers 0-d arrays and empty multi-dimensional ones.
+    stream.write(memoryview(contiguous.reshape(-1)).cast("B"))
     written += _U64.size + contiguous.nbytes
     return written
 

@@ -30,6 +30,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 from repro.engine.executor import ExecutionCapture
 from repro.engine.stats import OperatorStats, PipelineStats, QueryStats
@@ -47,6 +48,7 @@ __all__ = [
     "write_delta_snapshot",
     "read_delta_snapshot",
     "extract_state_blob",
+    "read_blob",
 ]
 
 _MAGIC_PIPELINE = b"RIVSNAP1"
@@ -62,6 +64,18 @@ def hash_blob(blob: bytes) -> str:
 
 class SnapshotError(ValueError):
     """Raised for malformed or incompatible snapshots."""
+
+
+def read_blob(stream: BinaryIO) -> bytes:
+    """Read one length-prefixed blob; a short read means a torn file."""
+    try:
+        size = int(serialize.read_json(stream))
+    except serialize.SerializationError as exc:
+        raise SnapshotError(f"truncated snapshot: {exc}") from exc
+    blob = stream.read(size)
+    if len(blob) != size:
+        raise SnapshotError(f"truncated snapshot: blob of {size} bytes has {len(blob)}")
+    return blob
 
 
 @dataclass
@@ -202,8 +216,8 @@ class PipelineSnapshot:
         stats = codec_mod.CodecStats()
         blobs: dict[int, bytes] = {}
         for pid, state in capture.live_states().items():
-            with codec_mod.encoding(codec_name, stats):
-                blobs[pid] = state.serialize()
+            blobs[pid], state_stats = state.encoded(codec_name)
+            stats.merge(state_stats)
         encoded = sum(len(blob) for blob in blobs.values())
         # What the same blobs would weigh uncompressed: the encoded stream
         # plus the payload bytes the codec saved.
@@ -272,8 +286,7 @@ class PipelineSnapshot:
             header = serialize.read_json(stream)
             blobs: dict[int, bytes] = {}
             for pid in header["state_ids"]:
-                size = int(serialize.read_json(stream))
-                blobs[int(pid)] = stream.read(size)
+                blobs[int(pid)] = read_blob(stream)
         return cls.from_parts(header, blobs)
 
 
@@ -328,13 +341,13 @@ class ProcessImage:
         stats = codec_mod.CodecStats()
         blobs: dict[int, bytes] = {}
         for pid, state in capture.completed_states.items():
-            with codec_mod.encoding(codec_name, stats):
-                blobs[pid] = state.serialize()
+            blobs[pid], state_stats = state.encoded(codec_name)
+            stats.merge(state_stats)
+        # Worker-local states are still in flight: always encoded afresh.
         locals_blobs: list[bytes] = []
         if capture.local_states is not None:
-            for state in capture.local_states:
-                with codec_mod.encoding(codec_name, stats):
-                    locals_blobs.append(state.serialize())
+            with codec_mod.encoding(codec_name, stats):
+                locals_blobs = [state.serialize() for state in capture.local_states]
         image_bytes = capture.memory_bytes + process_context_bytes
         # The process image is memory-accounting based, not a byte stream we
         # compress directly; model the encoded size by applying the measured
@@ -420,12 +433,8 @@ class ProcessImage:
             header = serialize.read_json(stream)
             blobs: dict[int, bytes] = {}
             for pid in header["state_ids"]:
-                size = int(serialize.read_json(stream))
-                blobs[int(pid)] = stream.read(size)
-            locals_blobs = []
-            for _ in range(int(header["num_locals"])):
-                size = int(serialize.read_json(stream))
-                locals_blobs.append(stream.read(size))
+                blobs[int(pid)] = read_blob(stream)
+            locals_blobs = [read_blob(stream) for _ in range(int(header["num_locals"]))]
         return cls.from_parts(header, blobs, locals_blobs)
 
 
@@ -488,12 +497,8 @@ def read_delta_snapshot(path: str | os.PathLike) -> DeltaSnapshot:
         wrapper = serialize.read_compressed_json(stream)
         inline: dict[int, bytes] = {}
         for pid in wrapper["inline_ids"]:
-            size = int(serialize.read_json(stream))
-            inline[int(pid)] = stream.read(size)
-        locals_blobs = []
-        for _ in range(int(wrapper["num_locals"])):
-            size = int(serialize.read_json(stream))
-            locals_blobs.append(stream.read(size))
+            inline[int(pid)] = read_blob(stream)
+        locals_blobs = [read_blob(stream) for _ in range(int(wrapper["num_locals"]))]
     return DeltaSnapshot(
         kind=wrapper["kind"],
         header=wrapper["header"],
@@ -540,8 +545,8 @@ def extract_state_blob(path: str | os.PathLike, pid: int) -> bytes:
         else:
             raise SnapshotError(f"unrecognized snapshot magic {magic!r}")
         for current in state_ids:
-            size = int(serialize.read_json(stream))
             if current == pid:
-                return stream.read(size)
+                return read_blob(stream)
+            size = int(serialize.read_json(stream))
             stream.seek(size, os.SEEK_CUR)
     raise SnapshotError(f"state {pid} not stored inline in {Path(path).name}")

@@ -35,6 +35,7 @@ from repro.suspend.snapshot import (
     SnapshotError,
     extract_state_blob,
     hash_blob,
+    read_blob,
     read_delta_snapshot,
     read_snapshot_header,
     write_delta_snapshot,
@@ -424,8 +425,4 @@ def _read_local_blobs(path: Path, header: dict) -> list[bytes]:
         for _ in header["state_ids"]:
             size = int(serialize.read_json(stream))
             stream.seek(size, os.SEEK_CUR)
-        blobs = []
-        for _ in range(int(header["num_locals"])):
-            size = int(serialize.read_json(stream))
-            blobs.append(stream.read(size))
-    return blobs
+        return [read_blob(stream) for _ in range(int(header["num_locals"]))]

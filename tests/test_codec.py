@@ -6,17 +6,27 @@ byte-identical to uninterrupted runs, and store-registered records must
 report exact on-disk sizes.
 """
 
+import hashlib
 import io
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.cloud.runner import QueryRunner
+from repro.costmodel.selector import AdaptiveStrategySelector
+from repro.costmodel.termination import TerminationProfile
+from repro.engine.chunk import DataChunk
 from repro.engine.clock import SimulatedClock
 from repro.engine.executor import QueryExecutor
+from repro.engine.operators.base import GlobalSinkState
+from repro.engine.operators.hash_join import HashJoinBuildSink
 from repro.engine.profile import HardwareProfile
+from repro.engine.types import DataType, Schema
+from repro.obs.audit import DecisionJournal
 from repro.storage import codec, serialize
 from repro.suspend import PipelineLevelStrategy, ProcessLevelStrategy, SnapshotStore
-from repro.tpch import build_query
+from repro.tpch import QUERY_NAMES, build_query
 
 from tests.conftest import assert_chunks_equal
 from tests.test_suspension import run_normal, suspend
@@ -233,3 +243,261 @@ def test_codec_metrics_emitted(tpch_tiny, tmp_path):
     encoded = metrics.counter("codec_encoded_bytes_total", codec="adaptive").value
     assert raw > 0
     assert 0 < encoded <= raw
+
+
+# -- frames stay byte-identical to the pick-then-encode reference ------------------
+
+
+def _reference_zlib(contiguous):
+    view = memoryview(contiguous).cast("B") if contiguous.ndim else memoryview(contiguous)
+    return zlib.compress(bytes(view), 6)
+
+
+_REFERENCE_ENCODERS = {"zlib": _reference_zlib, "rle": codec._encode_rle, "dict": codec._encode_dict}
+
+
+def _reference_record(array, codec_name):
+    """The record written by probing a prefix, picking the best ratio, and
+    then encoding the whole array again (the encoder before it reused the
+    probe's payload)."""
+    contiguous = np.ascontiguousarray(array)
+    legacy = serialize.serialize_array(contiguous)
+    if codec_name == "raw" or contiguous.nbytes < codec._MIN_ENCODE_BYTES:
+        return legacy
+    applicable = codec._applicable_codecs(contiguous)
+    if codec_name == "adaptive":
+        sample = contiguous[: codec._PROBE_ELEMENTS] if contiguous.ndim == 1 else contiguous
+        chosen, best = None, codec._ADAPTIVE_THRESHOLD
+        for name in applicable:
+            ratio = len(_REFERENCE_ENCODERS[name](sample)) / max(1, sample.nbytes)
+            if ratio < best:
+                chosen, best = name, ratio
+    else:
+        chosen = codec_name if codec_name in applicable else None
+    if chosen is None:
+        return legacy
+    payload = _REFERENCE_ENCODERS[chosen](contiguous)
+    if len(payload) + codec._frame_overhead(chosen, contiguous) >= len(legacy):
+        return legacy
+    return codec._build_frame(chosen, contiguous, payload)
+
+
+def _reference_arrays():
+    rng = np.random.default_rng(12)
+    words = np.array(["alpha", "beta", "gamma", "delta", "epsilon"], dtype="U8")
+    arrays = {
+        "empty-int": np.empty(0, dtype=np.int64),
+        "empty-str": np.empty(0, dtype="U5"),
+        "empty-2d": np.empty((0, 3), dtype=np.float64),
+        "2d-zeros": np.zeros((64, 64), dtype=np.int64),
+        "2d-floats": np.round(rng.random((50, 30)), 1),
+        "2d-random": rng.random((40, 20)),
+        "scalar-str": np.array("x" * 100),
+        "bools": rng.random(3000) < 0.1,
+    }
+    for size in (
+        codec._PROBE_ELEMENTS - 1, codec._PROBE_ELEMENTS, codec._PROBE_ELEMENTS + 1
+    ):
+        arrays[f"ints-{size}"] = rng.integers(0, 40, size)
+        arrays[f"runs-{size}"] = np.sort(rng.integers(0, 40, size))
+        arrays[f"wide-ints-{size}"] = rng.integers(0, 2**62, size)
+        arrays[f"floats-{size}"] = np.repeat(rng.random(size // 8 + 1), 8)[:size]
+        arrays[f"random-floats-{size}"] = rng.random(size)
+        arrays[f"strings-{size}"] = words[rng.integers(0, len(words), size)]
+    return arrays
+
+
+REFERENCE_ARRAYS = _reference_arrays()
+
+
+@pytest.mark.parametrize("codec_name", ["raw", "zlib", "rle", "dict", "adaptive"])
+@pytest.mark.parametrize("label", sorted(REFERENCE_ARRAYS))
+def test_frames_match_reference_encode(label, codec_name):
+    array = REFERENCE_ARRAYS[label]
+    assert codec.encode_array(array, codec_name) == _reference_record(array, codec_name)
+
+
+def test_probe_payload_is_not_encoded_twice(monkeypatch):
+    """When the probe sample is the whole array, its payload is the frame's."""
+    calls = []
+    encode = codec._ENCODERS["zlib"]
+    monkeypatch.setitem(
+        codec._ENCODERS, "zlib", lambda array: calls.append(array.shape) or encode(array)
+    )
+    codec.encode_array(np.zeros((64, 64), dtype=np.int64), "adaptive")
+    assert calls == [(64, 64)]
+
+
+# -- the encode-once memo on finalized global states --------------------------------
+
+
+def _join_build(seed=11, rows=5000, finalize=True):
+    rng = np.random.default_rng(seed)
+    schema = Schema.of(("key", DataType.INT64), ("label", DataType.STRING))
+    labels = np.array(["red", "green", "blue"], dtype="U5")
+    chunk = DataChunk(schema, [rng.integers(0, 50, rows), labels[rng.integers(0, 3, rows)]])
+    sink = HashJoinBuildSink(schema, ["key"])
+    state, local = sink.make_global_state(), sink.make_local_state()
+    sink.sink(local, chunk)
+    sink.combine(state, local)
+    if finalize:
+        sink.finalize(state)
+    return sink, state
+
+
+def _fresh_encode(state, codec_name):
+    stats = codec.CodecStats()
+    with codec.encoding(codec_name, stats):
+        return state.serialize(), stats
+
+
+class TestEncodeMemo:
+    def test_unfinalized_state_raises_and_stores_nothing(self):
+        _, state = _join_build(finalize=False)
+        with pytest.raises(ValueError, match="unfinalized"):
+            state.encoded("adaptive")
+        assert state._encodings is None
+
+    def test_memoized_encode_matches_fresh_encode(self):
+        _, state = _join_build()
+        blob, stats = state.encoded("adaptive")
+        assert state.encoded("adaptive")[0] is blob
+        assert state.encoded("adaptive")[1] is stats
+        fresh_blob, fresh_stats = _fresh_encode(state, "adaptive")
+        assert blob == fresh_blob
+        assert stats.to_json() == fresh_stats.to_json()
+
+    def test_deserialized_state_starts_empty(self):
+        sink, state = _join_build()
+        blob, _ = state.encoded("adaptive")
+        restored = sink.deserialize_global_state(blob)
+        assert restored._encodings is None
+        assert restored.encoded("adaptive")[0] == blob
+
+    def test_raw_is_never_retained(self):
+        _, state = _join_build()
+        blob, stats = state.encoded("raw")
+        assert blob == state.serialize()
+        assert stats.arrays > 0 and stats.saved_bytes == 0
+        assert state._encodings is None
+
+    def test_codecs_memoize_independently(self):
+        _, state = _join_build()
+        zlib_blob, _ = state.encoded("zlib")
+        adaptive_blob, _ = state.encoded("adaptive")
+        assert sorted(state._encodings) == ["adaptive", "zlib"]
+        assert zlib_blob == _fresh_encode(state, "zlib")[0]
+        assert adaptive_blob == _fresh_encode(state, "adaptive")[0]
+
+    def test_merged_stats_equal_one_shared_session(self):
+        states = [_join_build(seed)[1] for seed in (1, 2, 3)]
+        shared = codec.CodecStats()
+        with codec.encoding("adaptive", shared):
+            for state in states:
+                state.serialize()
+        merged = codec.CodecStats()
+        for state in states:
+            merged.merge(state.encoded("adaptive")[1])
+        assert merged == shared
+        assert merged.to_json() == shared.to_json()
+
+    def test_merge_folds_decode_counts(self):
+        left, right = codec.CodecStats(), codec.CodecStats()
+        left.record_decode("zlib", 100, 40)
+        right.record_decode("zlib", 50, 10)
+        right.record_encode("rle", 80, 8)
+        left.merge(right)
+        assert (left.decoded_arrays, left.decoded_raw_bytes, left.decoded_encoded_bytes) == (2, 150, 50)
+        assert left.per_codec["zlib"]["decoded_arrays"] == 2
+        assert left.per_codec["rle"]["encoded_bytes"] == 8
+
+
+class TestEncodeMemoInvisible:
+    """Every query × codec × strategy, adaptively decided with a journal and
+    an incremental store, writes the same bytes with and without the memo."""
+
+    #: Process images that never fit in memory leave pipeline vs redo;
+    #: free images make process-level win wherever suspending pays.
+    ESTIMATORS = {"pipeline": lambda fraction: 1e18, "process": lambda fraction: 0.0}
+
+    @pytest.fixture(scope="class")
+    def normals(self, tpch_tiny):
+        return {
+            query: QueryExecutor(tpch_tiny, build_query(query), query_name=query)
+            .run()
+            .stats.duration
+            for query in QUERY_NAMES
+        }
+
+    def _sweep(self, catalog, normals, directory, codec_name, strategy):
+        journal = DecisionJournal()
+        store = SnapshotStore(directory / "store", incremental=True)
+        runner = QueryRunner(
+            catalog, HardwareProfile(), snapshot_dir=directory, codec=codec_name,
+            journal=journal, store=store,
+        )
+        outcomes = []
+        for query in QUERY_NAMES:
+            normal = normals[query]
+            selector = AdaptiveStrategySelector(
+                profile=HardwareProfile(),
+                # A late window: several redo decisions, then a suspension.
+                termination=TerminationProfile.from_fractions(normal, 0.6, 0.9, 1.0),
+                process_size_estimator=self.ESTIMATORS[strategy],
+                estimated_total_time=normal,
+                codec=codec_name,
+                journal=journal,
+            )
+            outcome = runner.run_adaptive(build_query(query), query, selector, normal, None)
+            digest = hashlib.sha256()
+            for column in outcome.result.chunk.arrays():
+                digest.update(np.ascontiguousarray(column).tobytes())
+            outcomes.append(
+                (
+                    query, outcome.strategy, outcome.suspended, outcome.busy_time,
+                    outcome.overhead, outcome.intermediate_bytes, outcome.raw_bytes,
+                    len(selector.decisions), digest.hexdigest(),
+                )
+            )
+        files = {
+            str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*"))
+            if path.is_file()
+        }
+        return journal.to_jsonl(), files, outcomes
+
+    @pytest.mark.parametrize("strategy", ["pipeline", "process"])
+    @pytest.mark.parametrize("codec_name", ["raw", "zlib", "adaptive"])
+    def test_memo_changes_no_byte(
+        self, tpch_tiny, normals, tmp_path, monkeypatch, codec_name, strategy
+    ):
+        memoized = GlobalSinkState.encoded
+        calls = []
+
+        def observed(state, name):
+            calls.append((state, name, bool(state._encodings and name in state._encodings)))
+            return memoized(state, name)
+
+        monkeypatch.setattr(GlobalSinkState, "encoded", observed)
+        with_memo = self._sweep(tpch_tiny, normals, tmp_path / "memo", codec_name, strategy)
+        monkeypatch.setattr(GlobalSinkState, "encoded", _fresh_encode)
+        without = self._sweep(tpch_tiny, normals, tmp_path / "fresh", codec_name, strategy)
+
+        journal, files, outcomes = with_memo
+        assert journal == without[0]
+        assert files.keys() == without[1].keys()
+        for name, data in files.items():
+            assert data == without[1][name], name
+        assert outcomes == without[2]
+
+        suspended = [o for o in outcomes if o[2]]
+        assert len(suspended) >= 5 and {o[1] for o in suspended} == {strategy}
+        assert max(o[7] for o in suspended) >= 3  # several decisions, then suspend
+        hits = sum(hit for _, _, hit in calls)
+        assert hits == 0 if codec_name == "raw" else hits > 0
+        # Finalized states never change: each memo still equals a fresh encode.
+        for state, _, _ in calls:
+            for name, (blob, stats) in (state._encodings or {}).items():
+                fresh_blob, fresh_stats = _fresh_encode(state, name)
+                assert blob == fresh_blob
+                assert stats.to_json() == fresh_stats.to_json()

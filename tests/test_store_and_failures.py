@@ -1,5 +1,7 @@
 """Snapshot store, SQL-text registry, and failure-injection tests."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,24 @@ from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
 from repro.sql import execute_sql
+from repro.storage import serialize
 from repro.suspend import (
     PipelineLevelStrategy,
     PipelineSnapshot,
+    ProcessImage,
     ProcessLevelStrategy,
     RedoStrategy,
     SnapshotError,
 )
-from repro.suspend.store import SnapshotStore
+from repro.suspend import snapshot as snapshot_mod
+from repro.suspend import store as store_mod
+from repro.suspend.snapshot import (
+    DeltaSnapshot,
+    read_delta_snapshot,
+    read_snapshot_header,
+    write_delta_snapshot,
+)
+from repro.suspend.store import SnapshotStore, _read_local_blobs
 from repro.tpch import build_query
 from repro.tpch.sql_texts import SQL_TEXTS, sql_text
 
@@ -195,3 +207,97 @@ class TestFailureInjection:
         outcome, _ = suspend_once(tpch_tiny, "Q3", strategy, tmp_path)
         with pytest.raises(SnapshotError, match="bad magic"):
             PipelineSnapshot.read(outcome.snapshot_path)
+
+
+class TestShortReads:
+    """A snapshot cut anywhere inside its blob region fails to read with
+    SnapshotError, instead of parsing and failing later in state decode."""
+
+    @staticmethod
+    def _image_path(catalog, directory):
+        outcome, _ = suspend_once(
+            catalog, "Q9", ProcessLevelStrategy(HardwareProfile()), directory, fraction=0.05
+        )
+        image = ProcessImage.read(outcome.snapshot_path)
+        # Both blob loops are covered: completed states and worker locals.
+        assert image.state_blobs and image.local_state_blobs
+        return outcome.snapshot_path
+
+    @staticmethod
+    def _blob_region_start(path, read_header=serialize.read_json):
+        stream = io.BytesIO(path.read_bytes())
+        stream.read(8)  # magic
+        read_header(stream)
+        return stream.tell()
+
+    @staticmethod
+    def _assert_every_cut_raises(monkeypatch, path, start, read):
+        """*read* accepts the file at *path* whole and rejects every prefix
+        of it that ends at or after *start*.
+
+        The prefixes are served from memory through the readers' ``open``:
+        writing tens of thousands of cut files to disk takes far longer.
+        """
+        data = path.read_bytes()
+        read(path)
+        prefix = {}
+        for module in (snapshot_mod, store_mod):
+            monkeypatch.setattr(
+                module, "open", lambda *_: io.BytesIO(data[: prefix["end"]]), raising=False
+            )
+        parsed = []
+        for end in range(start, len(data)):
+            prefix["end"] = end
+            try:
+                read(path)
+            except SnapshotError as exc:
+                assert "truncated" in str(exc)
+            else:
+                parsed.append(end)
+        assert not parsed, f"{len(parsed)} truncated prefixes parsed, first at {parsed[0]}"
+
+    def test_pipeline_snapshot(self, tpch_tiny, tmp_path, monkeypatch):
+        strategy = PipelineLevelStrategy(HardwareProfile())
+        path = suspend_once(tpch_tiny, "Q3", strategy, tmp_path)[0].snapshot_path
+        start = self._blob_region_start(path)
+        self._assert_every_cut_raises(monkeypatch, path, start, PipelineSnapshot.read)
+
+    def test_process_image(self, tpch_tiny, tmp_path, monkeypatch):
+        path = self._image_path(tpch_tiny, tmp_path)
+        start = self._blob_region_start(path)
+        self._assert_every_cut_raises(monkeypatch, path, start, ProcessImage.read)
+
+    @staticmethod
+    def _small_blobs(image):
+        """*image* with a few short stand-in blobs: the readers never look
+        inside a blob, and short blobs keep the every-offset sweeps quick."""
+        image.state_blobs = {0: b"s" * 40, 3: b"t" * 24}
+        image.local_state_blobs = [b"u" * 32, b"v" * 16]
+        return image
+
+    def test_delta_snapshot(self, tpch_tiny, tmp_path, monkeypatch):
+        image = self._small_blobs(ProcessImage.read(self._image_path(tpch_tiny, tmp_path)))
+        path = tmp_path / "Q9.delta"
+        write_delta_snapshot(
+            path,
+            DeltaSnapshot(
+                kind="process",
+                header=image.header_json(),
+                inline_blobs=image.state_blobs,
+                refs={},
+                local_blobs=image.local_state_blobs,
+            ),
+        )
+        start = self._blob_region_start(path, serialize.read_compressed_json)
+        self._assert_every_cut_raises(monkeypatch, path, start, read_delta_snapshot)
+
+    def test_store_reads_local_blobs(self, tpch_tiny, tmp_path, monkeypatch):
+        image = self._small_blobs(ProcessImage.read(self._image_path(tpch_tiny, tmp_path)))
+        path = tmp_path / "Q9.small.image"
+        image.write(path)
+        header = read_snapshot_header(path)[1]
+        assert _read_local_blobs(path, header) == image.local_state_blobs
+        start = path.stat().st_size - sum(len(blob) for blob in image.local_state_blobs)
+        self._assert_every_cut_raises(
+            monkeypatch, path, start, lambda cut: _read_local_blobs(cut, header)
+        )
